@@ -14,7 +14,7 @@ import click
 
 from . import io as dio
 from . import __version__
-from .errors import DataError, NumericError
+from .errors import DataError, InvalidParams, NumericError
 from .measures import KIND_AIR, KIND_TIR, measure, sweep
 from .models import ModelSpec, generate as generate_series, paper_length
 from .ordinal import EmbeddingConfig
@@ -29,13 +29,15 @@ EXIT_CHECK_FAILED = 4
 
 def _parse_range(text: str) -> list[int]:
     """Parse '2..6' (inclusive) or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise click.UsageError(f"empty range {text!r}")
-        return values
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise click.UsageError(
+            f"expected an integer or a..b, got {text!r}") from None
+    if not values:
+        raise click.UsageError(f"empty range {text!r}")
+    return values
 
 
 def _kinds(measure_flag: str) -> list[str]:
@@ -46,10 +48,17 @@ def _kinds(measure_flag: str) -> list[str]:
     raise click.UsageError(f"--measure must be TIR, AIR or both, got {measure_flag!r}")
 
 
+def _usage(make, **kwargs):
+    """Build a config object, reporting a rejected value as a usage error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _series_file(path, fmt, delimiter, column, header) -> dio.SeriesFile:
-    return dio.SeriesFile(
-        path=path, format=fmt, delimiter=delimiter, column=column, header=header
-    )
+    return _usage(dio.SeriesFile, path=path, format=fmt, delimiter=delimiter,
+                  column=column, header=header)
 
 
 def _input_options(f):
@@ -98,14 +107,6 @@ def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
     click.echo(f"{model} {n} {seed if seed is not None else '-'}")
 
 
-def _embedding(m, tau, scheme, tie_epsilon) -> EmbeddingConfig:
-    try:
-        return EmbeddingConfig(m=m, tau=tau, scheme=scheme,
-                               tie_epsilon=tie_epsilon)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 @cli.command()
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=False, dir_okay=False))
@@ -121,9 +122,10 @@ def _embedding(m, tau, scheme, tie_epsilon) -> EmbeddingConfig:
 def analyze(input_path, fmt, delimiter, column, header, measure_flag, m, tau,
             scheme, tie_epsilon, out):
     """Compute TIR and/or AIR for a series file."""
+    config = _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
+                    tie_epsilon=tie_epsilon)
     series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
                                           header))
-    config = _embedding(m, tau, scheme, tie_epsilon)
     reports = [measure(series, config, kind) for kind in _kinds(measure_flag)]
     for rep in reports:
         click.echo(f"{rep.kind} {m} {tau} {rep.value:.17g}")
@@ -153,10 +155,14 @@ def analyze(input_path, fmt, delimiter, column, header, measure_flag, m, tau,
 def sweep_cmd(input_path, fmt, delimiter, column, header, m_range, tau_range,
               measure_flag, scheme, tie_epsilon, out):
     """Sweep a (kind, m, tau) grid and emit a CSV table."""
+    ms, taus = _parse_range(m_range), _parse_range(tau_range)
+    for m in ms:
+        for tau in taus:
+            _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
+                   tie_epsilon=tie_epsilon)
     series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
                                           header))
-    reports = sweep(series, _parse_range(m_range), _parse_range(tau_range),
-                    scheme=scheme, kinds=_kinds(measure_flag),
+    reports = sweep(series, ms, taus, scheme=scheme, kinds=_kinds(measure_flag),
                     tie_epsilon=tie_epsilon)
     dio.write_sweep_csv(reports, out)
     for rep in reports:
@@ -183,11 +189,12 @@ def surrogate_test(input_path, fmt, delimiter, column, header, measure_flag,
                    m, tau, scheme, tie_epsilon, n_surrogates, max_iterations,
                    seed, out):
     """Test a measure against an IAAFT surrogate ensemble."""
+    config = _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
+                    tie_epsilon=tie_epsilon)
+    params = _usage(IaaftParams, max_iterations=max_iterations, seed=seed,
+                    n_surrogates=n_surrogates)
     series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
                                           header))
-    config = _embedding(m, tau, scheme, tie_epsilon)
-    params = IaaftParams(max_iterations=max_iterations, seed=seed,
-                         n_surrogates=n_surrogates)
     verdict = significance_test(series, config, measure_flag, params)
     click.echo(
         f"{measure_flag} {m} {tau} {verdict.original_value:.17g} "
@@ -255,6 +262,8 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
 
     from .surrogates import iaaft
 
+    _usage(EmbeddingConfig, m=m_max)  # --m-max must itself be a valid m
+    params = _usage(IaaftParams, seed=seed, n_surrogates=n_surrogates)
     os.makedirs(out_dir, exist_ok=True)
     if n is None:
         n = paper_length()
@@ -264,7 +273,6 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
         "gaussian": generate_series(
             ModelSpec("gaussian", n, params={"seed": seed})),
     }
-    params = IaaftParams(seed=seed, n_surrogates=n_surrogates)
     ms = list(range(2, m_max + 1))
 
     values = {}
@@ -313,6 +321,9 @@ def main(argv=None) -> int:
                  auto_envvar_prefix="IRREV")
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
+        return EXIT_USAGE
+    except InvalidParams as exc:
+        click.echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()

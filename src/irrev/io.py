@@ -13,6 +13,7 @@ import csv as _csv
 import json
 import math
 import os
+import uuid
 from dataclasses import dataclass, field
 
 from .errors import EmptyFile, NonFiniteSample, ParseError
@@ -34,6 +35,8 @@ class SeriesFile:
     def __post_init__(self):
         if self.format not in ("plain", "csv"):
             raise ValueError(f"format must be 'plain' or 'csv', got {self.format!r}")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be 1 character, got {self.delimiter!r}")
 
 
 @dataclass
@@ -101,10 +104,18 @@ def write_series(series, path: str, format: str = "plain") -> None:
 
 
 def _durable_write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+    """Replace ``path`` atomically: sync a sibling temp file, rename it over."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- JSON document codec -------------------------------------------------------

@@ -13,10 +13,13 @@ forbidden (zero probability). The measure value is
 
     value = 1/2 * sum over patterns of Ys(H(pi), G(pi))
 
-where H and G are the forward and transformed histograms. On tie-free data
-(and for AIR under the equal-value scheme) this reduces to a sum over
-unordered pattern pairs {pi, pi*} with the symmetric counterpart pi*, which
-is how the per-pair decomposition in the report is presented.
+where H and G are the forward and transformed histograms. Windows are
+encoded by :mod:`irrev.ordinal`; H is built once per (m, tau). On tie-free
+data, and for AIR under the equal-value scheme, the symmetric counterpart
+pi* of each pattern is exact, so G is H relabelled by pi -> pi* and the
+value is presented as a sum over unordered pairs {pi, pi*}. Only tied TIR,
+and tied AIR under the original scheme, re-extract G from the transformed
+windows and pair each bin with itself.
 
 Counts are exact integers; the value is accumulated in rational arithmetic
 and converted to float once, so invariance identities (affine, reversal,
@@ -35,6 +38,8 @@ from .ordinal import (
     SCHEME_EQUAL_VALUE,
     EmbeddingConfig,
     Pattern,
+    _count_patterns,
+    _encode_windows,
     amplitude_reverse,
     time_reverse_tie_free,
 )
@@ -110,46 +115,6 @@ def _window_matrix(x: np.ndarray, m: int, tau: int) -> np.ndarray:
     return x[idx]
 
 
-def _pattern_codes(windows: np.ndarray, config: EmbeddingConfig) -> np.ndarray:
-    """Encode each window row as a single integer pattern code.
-
-    Codes are the label sequence in base (m + 1); labels are the 1-based
-    positions in ascending value order (stable for ties), collapsed to the
-    tie-group minimum under the equal-value scheme.
-    """
-    m = config.m
-    order = np.argsort(windows, axis=1, kind="stable")
-    labels = order + 1
-
-    sv = np.take_along_axis(windows, order, axis=1)
-    tied = (sv[:, 1:] - sv[:, :-1]) <= config.tie_epsilon
-    n_tied_windows = int(np.count_nonzero(tied.any(axis=1)))
-
-    if config.scheme == SCHEME_EQUAL_VALUE:
-        # Forward min pass leaves the full-run minimum on the run's last
-        # element; the backward pass copies it over the whole run.
-        for k in range(1, m):
-            labels[:, k] = np.where(
-                tied[:, k - 1],
-                np.minimum(labels[:, k - 1], labels[:, k]),
-                labels[:, k],
-            )
-        for k in range(m - 2, -1, -1):
-            labels[:, k] = np.where(tied[:, k], labels[:, k + 1], labels[:, k])
-
-    weights = (m + 1) ** np.arange(m, dtype=np.int64)
-    return labels.astype(np.int64) @ weights, n_tied_windows
-
-
-def _decode(code: int, m: int, scheme: str) -> Pattern:
-    labels = []
-    base = m + 1
-    for _ in range(m):
-        labels.append(int(code % base))
-        code //= base
-    return Pattern(tuple(labels), scheme)
-
-
 def build_histogram(
     series, config: EmbeddingConfig, transform: str = TRANSFORM_IDENTITY
 ) -> PatternHistogram:
@@ -163,13 +128,10 @@ def build_histogram(
     elif transform == TRANSFORM_NEGATE:
         windows = -windows
 
-    codes, n_tied = _pattern_codes(windows, config)
-    unique, n = np.unique(codes, return_counts=True)
-    counts = {
-        _decode(int(c), config.m, config.scheme): int(k)
-        for c, k in zip(unique, n)
-    }
-    return PatternHistogram(config, transform, counts, len(codes), n_tied)
+    labels, tied = _encode_windows(windows, config)
+    return PatternHistogram(config, transform,
+                            _count_patterns(labels, config.scheme),
+                            len(labels), int(np.count_nonzero(tied)))
 
 
 def ys_divergence(a: float, b: float) -> float:
@@ -200,8 +162,7 @@ def _counterpart_map(kind: str, scheme: str, data_tie_free: bool):
 
     Amplitude reversal matches window negation for every equal-value pattern
     and on tie-free data under any scheme; the time-reversal map is exact on
-    tie-free data only. Otherwise the caller keeps the dual-histogram
-    pairing, which never relies on a pattern-level map.
+    tie-free data only.
     """
     if kind == KIND_AIR and (scheme == SCHEME_EQUAL_VALUE or data_tie_free):
         return amplitude_reverse
@@ -210,60 +171,56 @@ def _counterpart_map(kind: str, scheme: str, data_tie_free: bool):
     return None
 
 
+def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
+    """TIR or AIR of the series from its forward histogram ``fwd``."""
+    config, n, h = fwd.config, fwd.n_windows, fwd.counts
+    counterpart_of = _counterpart_map(kind, config.scheme,
+                                      fwd.n_tied_windows == 0)
+    if counterpart_of is None:
+        transform = (TRANSFORM_TIME_REVERSE if kind == KIND_TIR
+                     else TRANSFORM_NEGATE)
+        g = build_histogram(series, config, transform).counts
+    else:
+        g = {counterpart_of(p): c for p, c in h.items()}
+
+    support = sorted(h.keys() | g.keys(), key=lambda p: p.labels)
+    total = Fraction(0)
+    for p in support:
+        total += _ys_exact(h.get(p, 0), g.get(p, 0), n)
+
+    pairs: list[PairContribution] = []
+    seen: set[Pattern] = set()
+    for p in support:
+        if p in seen:
+            continue
+        pf, pc = h.get(p, 0) / n, g.get(p, 0) / n
+        ys = ys_divergence(pf, pc)
+        if counterpart_of is None:
+            # No exact pattern-level map: each bin is paired with the same
+            # bin of the transformed histogram and carries half its term.
+            pairs.append(PairContribution(p, SAME_BIN, pf, pc, ys / 2))
+        else:
+            q = counterpart_of(p)
+            seen.update((p, q))
+            pairs.append(
+                PairContribution(p, SAME_BIN if q == p else q, pf, pc, ys))
+
+    return IrreversibilityReport(
+        kind=kind,
+        config=config,
+        value=float(total / 2),
+        pairs=pairs,
+        n_observed_patterns=len(h),
+        n_forbidden_counterparts=sum(1 for p in h if g.get(p, 0) == 0),
+        n_windows=n,
+    )
+
+
 def measure(series, config: EmbeddingConfig, kind: str) -> IrreversibilityReport:
     """Compute TIR or AIR with full per-pair decomposition."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    transform = TRANSFORM_TIME_REVERSE if kind == KIND_TIR else TRANSFORM_NEGATE
-    fwd = build_histogram(series, config, TRANSFORM_IDENTITY)
-    bwd = build_histogram(series, config, transform)
-    n = fwd.n_windows
-
-    support = sorted(set(fwd.counts) | set(bwd.counts), key=lambda p: p.labels)
-    total = Fraction(0)
-    for p in support:
-        total += _ys_exact(fwd.counts.get(p, 0), bwd.counts.get(p, 0), n)
-    value = float(total / 2)
-
-    counterpart_of = _counterpart_map(
-        kind, config.scheme, fwd.n_tied_windows == 0
-    )
-    pairs: list[PairContribution] = []
-    if counterpart_of is not None:
-        seen: set[Pattern] = set()
-        for p in support:
-            if p in seen:
-                continue
-            q = counterpart_of(p)
-            seen.update((p, q))
-            pf = fwd.probability(p)
-            pc = fwd.probability(q)
-            if p == q:
-                pairs.append(PairContribution(p, SAME_BIN, pf, pc, 0.0))
-            else:
-                pairs.append(
-                    PairContribution(p, q, pf, pc, ys_divergence(pf, pc))
-                )
-    else:
-        # Tied patterns with no exact pattern-level map: pair each bin of the
-        # forward histogram with the same bin of the transformed histogram.
-        for p in support:
-            pf = fwd.probability(p)
-            pc = bwd.probability(p)
-            pairs.append(
-                PairContribution(p, SAME_BIN, pf, pc, ys_divergence(pf, pc) / 2)
-            )
-
-    n_forbidden = sum(1 for p in fwd.counts if bwd.counts.get(p, 0) == 0)
-    return IrreversibilityReport(
-        kind=kind,
-        config=config,
-        value=value,
-        pairs=pairs,
-        n_observed_patterns=len(fwd.counts),
-        n_forbidden_counterparts=n_forbidden,
-        n_windows=n,
-    )
+    return _report(series, build_histogram(series, config), kind)
 
 
 def sweep(
@@ -274,23 +231,29 @@ def sweep(
     kinds=(KIND_TIR, KIND_AIR),
     tie_epsilon: float = 0.0,
 ) -> list[IrreversibilityReport]:
-    """One report per (kind, m, tau) cell, in deterministic cell order."""
+    """One report per (kind, m, tau) cell, in kind-major cell order.
+
+    The forward histogram of each (m, tau) is built once for all kinds.
+    """
     m_range = list(m_range)
     tau_range = list(tau_range)
     kinds = list(kinds)
     for k in kinds:
         if k not in _KINDS:
             raise ValueError(f"unknown measure kind {k!r}")
-    reports = []
-    for kind in kinds:
-        for m in m_range:
-            for tau in tau_range:
-                config = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
-                                         tie_epsilon=tie_epsilon)
+    by_kind = {kind: [] for kind in kinds}
+    for m in m_range:
+        for tau in tau_range:
+            config = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
+                                     tie_epsilon=tie_epsilon)
+            fwd = None
+            for kind in kinds:
                 try:
-                    reports.append(measure(series, config, kind))
+                    if fwd is None:
+                        fwd = build_histogram(series, config)
+                    by_kind[kind].append(_report(series, fwd, kind))
                 except SeriesTooShort as exc:
                     raise SeriesTooShort(
                         f"sweep cell kind={kind} m={m} tau={tau}: {exc}"
                     ) from exc
-    return reports
+    return [report for kind in kinds for report in by_kind[kind]]

@@ -1,5 +1,10 @@
 """Ordinal pattern extraction and pattern symmetry transforms.
 
+This module owns the encoding: :func:`_encode_windows` labels the window
+matrices of :mod:`irrev.measures` and the single window of
+:func:`extract_pattern`, and patterns are counted as int64 codes of
+base-(m + 1) digits, which bounds ``m`` to ``2..15``.
+
 A window of ``m`` samples is encoded by listing its positions (1-based) in
 ascending value order. Two tie-handling schemes are supported:
 
@@ -18,6 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from numbers import Integral
+
+import numpy as np
 
 from .errors import (
     InvalidPattern,
@@ -30,6 +39,9 @@ from .errors import (
 SCHEME_ORIGINAL = "original"
 SCHEME_EQUAL_VALUE = "equal-value"
 _SCHEMES = (SCHEME_ORIGINAL, SCHEME_EQUAL_VALUE)
+
+# Largest m whose pattern codes, below (m + 1) ** m, fit in an int64.
+_M_MAX = 15
 
 
 @dataclass(frozen=True)
@@ -47,14 +59,18 @@ class EmbeddingConfig:
     tie_epsilon: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError(f"dimension m must be an integer >= 2, got {self.m}")
-        if not isinstance(self.tau, int) or self.tau < 1:
+        if not isinstance(self.m, Integral) or not 2 <= self.m <= _M_MAX:
+            raise ValueError(
+                f"dimension m must be an integer in 2..{_M_MAX}, got {self.m}"
+            )
+        if not isinstance(self.tau, Integral) or self.tau < 1:
             raise ValueError(f"delay tau must be an integer >= 1, got {self.tau}")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "tau", int(self.tau))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.tie_epsilon < 0:
-            raise ValueError("tie_epsilon must be non-negative")
+        if not self.tie_epsilon >= 0:  # also rejects NaN
+            raise ValueError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -80,20 +96,41 @@ class Pattern:
         return pattern_to_string(self)
 
 
-def _tie_groups(sorted_values, tie_epsilon):
-    """Split the index range of an ascending value list into tie groups.
+def _encode_windows(windows: np.ndarray, config: EmbeddingConfig):
+    """Label every row of a window matrix; also flag the rows with a tie.
 
-    Groups are maximal runs of adjacent sorted values whose consecutive gaps
-    are all <= tie_epsilon (transitive chaining for tie_epsilon > 0).
+    Labels are the 1-based positions in ascending value order (stable for
+    ties), collapsed to the tie-group minimum under the equal-value scheme.
     """
-    groups = []
-    start = 0
-    for k in range(1, len(sorted_values)):
-        if sorted_values[k] - sorted_values[k - 1] > tie_epsilon:
-            groups.append((start, k))
-            start = k
-    groups.append((start, len(sorted_values)))
-    return groups
+    m = config.m
+    order = np.argsort(windows, axis=1, kind="stable")
+    labels = order + 1
+
+    sv = np.take_along_axis(windows, order, axis=1)
+    tied = (sv[:, 1:] - sv[:, :-1]) <= config.tie_epsilon
+
+    if config.scheme == SCHEME_EQUAL_VALUE:
+        # Forward min pass leaves the full-run minimum on the run's last
+        # element; the backward pass copies it over the whole run.
+        for k in range(1, m):
+            labels[:, k] = np.where(
+                tied[:, k - 1],
+                np.minimum(labels[:, k - 1], labels[:, k]),
+                labels[:, k],
+            )
+        for k in range(m - 2, -1, -1):
+            labels[:, k] = np.where(tied[:, k], labels[:, k + 1], labels[:, k])
+    return labels, tied.any(axis=1)
+
+
+def _count_patterns(labels: np.ndarray, scheme: str) -> dict[Pattern, int]:
+    """Count distinct label rows, packed as int64 codes of base-(m + 1) digits."""
+    m = labels.shape[1]
+    weights = (m + 1) ** np.arange(m, dtype=np.int64)
+    codes, n = np.unique(labels.astype(np.int64) @ weights, return_counts=True)
+    rows = codes[:, None] // weights % (m + 1)
+    return {Pattern(tuple(r), scheme): k
+            for r, k in zip(rows.tolist(), n.tolist())}
 
 
 def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
@@ -106,19 +143,8 @@ def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteSample(f"non-finite sample {v!r} in window")
-
-    # Stable sort by value keeps tied samples in position order.
-    order = sorted(range(config.m), key=lambda i: (values[i], i))
-    labels = [i + 1 for i in order]
-
-    if config.scheme == SCHEME_EQUAL_VALUE:
-        sorted_values = [values[i] for i in order]
-        for lo, hi in _tie_groups(sorted_values, config.tie_epsilon):
-            if hi - lo > 1:
-                group_min = min(labels[lo:hi])
-                labels[lo:hi] = [group_min] * (hi - lo)
-
-    return Pattern(tuple(labels), config.scheme)
+    labels, _ = _encode_windows(np.array([values]), config)
+    return Pattern(tuple(labels[0]), config.scheme)
 
 
 def amplitude_reverse(pattern: Pattern) -> Pattern:
@@ -155,19 +181,6 @@ def is_self_symmetric(pattern: Pattern, symmetry: str) -> bool:
     raise ValueError(f"symmetry must be 'amplitude' or 'time', got {symmetry!r}")
 
 
-def _runs(labels):
-    """Maximal runs of equal adjacent labels as (label, length) pairs."""
-    runs = []
-    k = 0
-    while k < len(labels):
-        j = k
-        while j + 1 < len(labels) and labels[j + 1] == labels[k]:
-            j += 1
-        runs.append((labels[k], j - k + 1))
-        k = j + 1
-    return runs
-
-
 def canonical_representative(pattern: Pattern) -> list[int]:
     """Build a small integer window whose pattern equals the input.
 
@@ -182,7 +195,7 @@ def canonical_representative(pattern: Pattern) -> list[int]:
     if any(v < 1 or v > m for v in labels):
         raise InvalidPattern(f"labels of {labels} out of range 1..{m}")
 
-    runs = _runs(labels)
+    runs = [(v, len(list(run))) for v, run in groupby(labels)]
     run_labels = [v for v, _ in runs]
     if len(set(run_labels)) != len(run_labels):
         raise InvalidPattern(f"label repeated in non-adjacent runs in {labels}")

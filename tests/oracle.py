@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonFiniteSample, SeriesTooShort
+from irrev.errors import NonFiniteSample, SeriesTooShort
 
 
 def _ordinal_labels(window, scheme, tie_epsilon):

@@ -27,9 +27,9 @@ from irrev import (
     time_reverse_tie_free,
 )
 from irrev.cli import main as cli_main
-from irrev.oracle import measure_by_definition_oracle
 
 from conftest import random_series_with_ties
+from oracle import measure_by_definition_oracle
 
 SEED = 20260824
 

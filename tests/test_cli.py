@@ -199,3 +199,23 @@ class TestUsageAndEnv:
                                                   increasing_file):
         code, _, _ = run(capsys, "analyze", "--input", increasing_file)
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--input", "{input}", "--m", "1..3", "--out", "{tmp}/s.csv"],
+    ["sweep", "--input", "{input}", "--m", "a..3", "--out", "{tmp}/s.csv"],
+    ["surrogate-test", "--input", "{input}", "--m", "3", "--seed", "1",
+     "--n-surrogates", "0"],
+    ["repro-models", "--out-dir", "{tmp}/repro", "--seed", "1",
+     "--m-max", "1"],
+    ["analyze", "--input", "{input}", "--m", "3", "--tie-epsilon", "nan"],
+    ["analyze", "--input", "{input}", "--m", "16"],
+    ["generate", "logistic", "--n", "0", "--out", "{tmp}/g.txt"],
+    ["analyze", "--input", "{input}", "--m", "3", "--format", "csv",
+     "--delimiter", ""],
+])
+def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
+    argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestWriteSeries:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(EmptyFile):
             write_series([], str(tmp_path / "empty.txt"))
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_series([1.0, 2.0], str(path))
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestReportDocument:

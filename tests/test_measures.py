@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrev import (
     DomainError,
@@ -14,10 +17,11 @@ from irrev import (
     time_reverse_tie_free,
     ys_divergence,
 )
+from irrev import measures
 from irrev.measures import SAME_BIN
-from irrev.oracle import measure_by_definition_oracle
 
 from conftest import random_series_with_ties
+from oracle import _ordinal_labels, measure_by_definition_oracle
 
 
 class TestBuildHistogram:
@@ -210,6 +214,95 @@ class TestMeasure:
                 assert measure(x, cfg, kind).value == pytest.approx(
                     measure_by_definition_oracle(x, cfg, kind), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("kind", ["TIR", "AIR"])
+    def test_matches_oracle_at_largest_m(self, kind):
+        rng = np.random.default_rng(13)
+        tie_free = rng.standard_normal(60)
+        tied = rng.integers(0, 3, size=60).astype(float)
+        for x in (tie_free, tied):
+            for scheme in ("original", "equal-value"):
+                cfg = EmbeddingConfig(m=15, scheme=scheme)
+                assert measure(x, cfg, kind).value == \
+                    measure_by_definition_oracle(x, cfg, kind)
+
+
+@st.composite
+def _series_and_config(draw):
+    m = draw(st.integers(2, 15))
+    tau = draw(st.integers(1, 3))
+    n = (m - 1) * tau + draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        samples = st.integers(-3, 3).map(float)  # tied
+    else:
+        samples = st.floats(-1e3, 1e3, allow_nan=False)
+    x = np.array(draw(st.lists(samples, min_size=n, max_size=n)))
+    cfg = EmbeddingConfig(
+        m=m, tau=tau,
+        scheme=draw(st.sampled_from(["original", "equal-value"])),
+        tie_epsilon=draw(st.sampled_from([0.0, 0.5])),
+    )
+    return x, cfg
+
+
+class TestEncoderAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_series_and_config())
+    def test_histograms_and_values(self, case):
+        x, cfg = case
+        m, tau = cfg.m, cfg.tau
+        windows = [list(x[i : i + (m - 1) * tau + 1 : tau])
+                   for i in range(len(x) - (m - 1) * tau)]
+        transforms = {"identity": lambda w: w,
+                      "time-reverse": lambda w: w[::-1],
+                      "negate": lambda w: [-v for v in w]}
+        for transform, apply in transforms.items():
+            expected = Counter(
+                _ordinal_labels(apply(w), cfg.scheme, cfg.tie_epsilon)
+                for w in windows
+            )
+            counts = build_histogram(x, cfg, transform).counts
+            assert {p.labels: c for p, c in counts.items()} == expected
+        for kind in ("TIR", "AIR"):
+            assert measure(x, cfg, kind).value == \
+                measure_by_definition_oracle(x, cfg, kind)
+
+
+class TestForwardHistogramOnce:
+    @pytest.fixture()
+    def transforms(self, monkeypatch):
+        seen = []
+        real = measures.build_histogram
+
+        def counting(series, config, transform="identity"):
+            seen.append(transform)
+            return real(series, config, transform)
+
+        monkeypatch.setattr(measures, "build_histogram", counting)
+        return seen
+
+    @pytest.mark.parametrize("kind, scheme, tied, expected", [
+        ("TIR", "equal-value", False, ["identity"]),
+        ("TIR", "original", False, ["identity"]),
+        ("AIR", "equal-value", False, ["identity"]),
+        ("AIR", "original", False, ["identity"]),
+        ("AIR", "equal-value", True, ["identity"]),
+        ("TIR", "equal-value", True, ["identity", "time-reverse"]),
+        ("TIR", "original", True, ["identity", "time-reverse"]),
+        ("AIR", "original", True, ["identity", "negate"]),
+    ])
+    def test_measure(self, transforms, kind, scheme, tied, expected):
+        x = np.random.default_rng(14).standard_normal(300)
+        if tied:
+            x = np.round(x)
+        measure(x, EmbeddingConfig(m=4, scheme=scheme), kind)
+        assert transforms == expected
+
+    def test_sweep_tie_free(self, transforms):
+        x = np.random.default_rng(15).standard_normal(300)
+        reports = sweep(x, range(2, 5), range(1, 3))
+        assert len(reports) == 2 * 3 * 2
+        assert transforms == ["identity"] * (3 * 2)
 
 
 class TestSweep:

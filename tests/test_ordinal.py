@@ -25,6 +25,26 @@ EV = EmbeddingConfig(m=5, scheme="equal-value")
 ORIG = EmbeddingConfig(m=5, scheme="original")
 
 
+class TestEmbeddingConfig:
+    def test_numpy_integers_accepted(self):
+        cfg = EmbeddingConfig(m=np.int64(3), tau=np.int32(2))
+        assert (cfg.m, cfg.tau) == (3, 2)
+        assert type(cfg.m) is int and type(cfg.tau) is int
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m": 1}, {"m": 3.0}, {"m": 3, "tau": 0}, {"m": 3, "scheme": "x"},
+        {"m": 3, "tie_epsilon": -1.0}, {"m": 3, "tie_epsilon": math.nan},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            EmbeddingConfig(**kwargs)
+
+    def test_m_bounded_by_code_width(self):
+        assert EmbeddingConfig(m=15).m == 15
+        with pytest.raises(ValueError, match=r"2\.\.15"):
+            EmbeddingConfig(m=16)
+
+
 class TestExtractPattern:
     def test_tie_free_window(self):
         assert extract_pattern([3, 1, 9, 5, 7], EV).labels == (2, 1, 4, 5, 3)
