@@ -18,7 +18,8 @@ from .errors import DataError, InvalidParams, NumericError
 from .measures import KIND_AIR, KIND_TIR, measure, sweep
 from .models import ModelSpec, generate as generate_series, paper_length
 from .ordinal import EmbeddingConfig
-from .surrogates import IaaftParams, percentile_nearest_rank, significance_test
+from .surrogates import (IaaftParams, ensemble_values,
+                         percentile_nearest_rank, significance_test)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -260,8 +261,6 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
     """Recompute the model-series benchmark (three series, m = 2..7, tau = 1)."""
     import os
 
-    from .surrogates import iaaft
-
     _usage(EmbeddingConfig, m=m_max)  # --m-max must itself be a valid m
     params = _usage(IaaftParams, seed=seed, n_surrogates=n_surrogates)
     os.makedirs(out_dir, exist_ok=True)
@@ -274,27 +273,25 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
             ModelSpec("gaussian", n, params={"seed": seed})),
     }
     ms = list(range(2, m_max + 1))
+    configs = [EmbeddingConfig(m=m, tau=1) for m in ms]
+    kinds = (KIND_TIR, KIND_AIR)
 
     values = {}
-    bands = {}
     rows = ["series,kind,m,value,p2_5,p97_5"]
     reports = []
     for name, series in series_by_name.items():
         dio.write_series(series, os.path.join(out_dir, f"{name}.txt"))
-        surrogates = [iaaft(series, params, i)[0]
-                      for i in range(n_surrogates)]
-        for m in ms:
-            config = EmbeddingConfig(m=m, tau=1)
-            for kind in (KIND_TIR, KIND_AIR):
-                rep = measure(series, config, kind)
-                values[(name, kind, m)] = rep.value
+        ensemble = ensemble_values(series, params, configs, kinds)
+        originals = {(rep.kind, rep.config): rep
+                     for rep in sweep(series, ms, [1])}
+        for config in configs:
+            for kind in kinds:
+                rep = originals[(kind, config)]
+                values[(name, kind, config.m)] = rep.value
                 reports.append(rep)
-                ensemble = [measure(s, config, kind).value
-                            for s in surrogates]
-                lo = percentile_nearest_rank(ensemble, 2.5)
-                hi = percentile_nearest_rank(ensemble, 97.5)
-                bands[(name, kind, m)] = (lo, hi)
-                rows.append(f"{name},{kind},{m},{rep.value:.17g},"
+                lo = percentile_nearest_rank(ensemble[(kind, config)], 2.5)
+                hi = percentile_nearest_rank(ensemble[(kind, config)], 97.5)
+                rows.append(f"{name},{kind},{config.m},{rep.value:.17g},"
                             f"{lo:.17g},{hi:.17g}")
     dio._durable_write(os.path.join(out_dir, "table.csv"),
                        "\n".join(rows) + "\n")

@@ -37,6 +37,8 @@ class SeriesFile:
             raise ValueError(f"format must be 'plain' or 'csv', got {self.format!r}")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be 1 character, got {self.delimiter!r}")
+        if self.column < 0:
+            raise ValueError(f"column must be >= 0, got {self.column}")
 
 
 @dataclass

@@ -5,6 +5,12 @@ is the rank-ordered variant) and approximate its power spectrum through
 iterative refinement. Each ensemble member is seeded from a splitmix64-style
 mix of (seed, index), so ensembles are reproducible and independent of
 generation order or concurrency.
+
+``ensemble_values`` is the single ensemble loop: it draws members 0..n-1 one
+at a time, scores each through :func:`irrev.measures.sweep` (one forward
+histogram per configuration, shared by every kind) and drops it before
+drawing the next, so memory does not grow with the ensemble size.
+``significance_test`` and the ``repro-models`` command both run on it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeries, DomainError, EmptyInput, TooShort
-from .measures import measure
+from .measures import _validated_series, measure, sweep
 from .ordinal import EmbeddingConfig
 
 _MASK64 = (1 << 64) - 1
@@ -82,12 +88,10 @@ def iaaft(series, params: IaaftParams, index: int = 0):
     Stops when the rank permutation repeats between consecutive iterations
     or ``max_iterations`` is reached; returns the rank-ordered series.
     """
-    x = np.asarray(series, dtype=float)
+    x = _validated_series(series)
     n = len(x)
     if n < 8:
         raise TooShort(f"IAAFT needs at least 8 samples, got {n}")
-    if not np.isfinite(x).all():
-        raise DegenerateSeries("series contains non-finite samples")
     if np.all(x == x[0]):
         raise DegenerateSeries("constant series has no non-DC spectral content")
 
@@ -143,15 +147,26 @@ def percentile_nearest_rank(values, q: float) -> float:
     return values[rank - 1]
 
 
+def ensemble_values(series, params: IaaftParams, configs, kinds):
+    """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``."""
+    values = {(kind, c): [] for c in configs for kind in kinds}
+    for i in range(params.n_surrogates):
+        surrogate, _ = iaaft(series, params, i)
+        for c in configs:
+            reports = sweep(surrogate, [c.m], [c.tau], c.scheme, kinds,
+                            c.tie_epsilon)
+            for kind, rep in zip(kinds, reports):
+                values[(kind, c)].append(rep.value)
+    return values
+
+
 def significance_test(
     series, config: EmbeddingConfig, kind: str, params: IaaftParams
 ) -> SurrogateVerdict:
     """Compare a measure value against an IAAFT surrogate ensemble."""
     original = measure(series, config, kind).value
-    surrogate_values = []
-    for i in range(params.n_surrogates):
-        surrogate, _ = iaaft(series, params, i)
-        surrogate_values.append(measure(surrogate, config, kind).value)
+    surrogate_values = ensemble_values(series, params, [config],
+                                       [kind])[(kind, config)]
 
     p2_5 = percentile_nearest_rank(surrogate_values, 2.5)
     p97_5 = percentile_nearest_rank(surrogate_values, 97.5)

@@ -1,8 +1,20 @@
 import json
 import os
+import weakref
 
 import pytest
 
+from irrev import (
+    EmbeddingConfig,
+    IaaftParams,
+    ModelSpec,
+    generate,
+    iaaft,
+    measure,
+    measures,
+    percentile_nearest_rank,
+    surrogates,
+)
 from irrev.cli import main
 
 
@@ -173,6 +185,53 @@ class TestReproModels:
         assert rows[0] == "series,kind,m,value,p2_5,p97_5"
         assert len(rows) == 1 + 3 * 2 * 2  # series x kinds x (m=2,3)
 
+        # Every value and band equals a member-by-member recomputation.
+        params = IaaftParams(seed=3, n_surrogates=3)
+        expected = []
+        for spec in (ModelSpec("logistic", 2048), ModelSpec("henon", 2048),
+                     ModelSpec("gaussian", 2048, params={"seed": 3})):
+            x = generate(spec)
+            members = [iaaft(x, params, i)[0] for i in range(3)]
+            for m in (2, 3):
+                config = EmbeddingConfig(m=m)
+                for kind in ("TIR", "AIR"):
+                    ens = [measure(s, config, kind).value for s in members]
+                    expected.append(
+                        f"{spec.kind},{kind},{m},"
+                        f"{measure(x, config, kind).value:.17g},"
+                        f"{percentile_nearest_rank(ens, 2.5):.17g},"
+                        f"{percentile_nearest_rank(ens, 97.5):.17g}")
+        assert rows[1:] == expected
+
+    def test_streams_members_and_shares_histograms(self, capsys, tmp_path,
+                                                    monkeypatch):
+        members, most_alive, builds = [], [0], [0]
+        real_iaaft, real_build = surrogates.iaaft, measures.build_histogram
+
+        def tracked_iaaft(*args, **kwargs):
+            alive = sum(ref() is not None for ref in members)
+            most_alive[0] = max(most_alive[0], alive)
+            result = real_iaaft(*args, **kwargs)
+            members.append(weakref.ref(result[0]))
+            return result
+
+        def counted_build(*args, **kwargs):
+            builds[0] += 1
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(surrogates, "iaaft", tracked_iaaft)
+        monkeypatch.setattr(measures, "build_histogram", counted_build)
+        code, _, _ = run(capsys, "repro-models", "--out-dir",
+                         str(tmp_path / "repro"), "--seed", "3",
+                         "--n-surrogates", "5", "--m-max", "3",
+                         "--n", "2048")
+        assert code == 0
+        assert len(members) == 3 * 5
+        # Only the member just scored may still be alive at the next draw.
+        assert most_alive[0] <= 1
+        # One forward histogram per (series, member or original, m).
+        assert builds[0] == 3 * (5 + 1) * 2
+
 
 class TestUsageAndEnv:
     def test_unknown_command(self, capsys):
@@ -213,6 +272,8 @@ class TestUsageAndEnv:
     ["generate", "logistic", "--n", "0", "--out", "{tmp}/g.txt"],
     ["analyze", "--input", "{input}", "--m", "3", "--format", "csv",
      "--delimiter", ""],
+    ["analyze", "--input", "{input}", "--m", "3", "--format", "csv",
+     "--column", "-1"],
 ])
 def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]

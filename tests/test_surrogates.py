@@ -9,12 +9,14 @@ from irrev import (
     EmbeddingConfig,
     EmptyInput,
     IaaftParams,
+    NonFiniteSample,
     TooShort,
     iaaft,
+    measure,
     percentile_nearest_rank,
     significance_test,
 )
-from irrev.surrogates import mix_seed
+from irrev.surrogates import ensemble_values, mix_seed
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,11 @@ class TestIaaft:
             iaaft([3.0] * 100, IaaftParams(seed=1), 0)
         with pytest.raises(TooShort):
             iaaft([1.0, 2.0, 3.0], IaaftParams(seed=1), 0)
+        x = np.random.default_rng(33).standard_normal(64)
+        for bad in (np.nan, np.inf):
+            x[10] = bad
+            with pytest.raises(NonFiniteSample):
+                iaaft(x, IaaftParams(seed=1), 0)
 
     def test_mix_seed_is_stable(self):
         # Frozen values: the ensemble stream must never silently change.
@@ -99,6 +106,27 @@ class TestPercentile:
             percentile_nearest_rank([1.0], 0.0)
         with pytest.raises(DomainError):
             percentile_nearest_rank([1.0], 100.0)
+
+
+class TestEnsembleValues:
+    def test_matches_member_by_member_measures(self):
+        # Rounded Gaussian data: ties, so both schemes and tied TIR matter.
+        x = np.round(np.random.default_rng(34).standard_normal(512), 1)
+        params = IaaftParams(max_iterations=50, seed=9, n_surrogates=4)
+        configs = [
+            EmbeddingConfig(m=3),
+            EmbeddingConfig(m=4, tau=2),
+            EmbeddingConfig(m=3, scheme="original"),
+            EmbeddingConfig(m=4, tau=2, scheme="original"),
+        ]
+        kinds = ("TIR", "AIR")
+        values = ensemble_values(x, params, configs, kinds)
+        assert set(values) == {(k, c) for k in kinds for c in configs}
+        for (kind, config), got in values.items():
+            assert got == [
+                measure(iaaft(x, params, i)[0], config, kind).value
+                for i in range(params.n_surrogates)
+            ]
 
 
 class TestSignificance:
