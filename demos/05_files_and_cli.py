@@ -20,7 +20,8 @@ from irrev.io import (
     write_series,
 )
 
-tmp = Path(tempfile.mkdtemp())
+workdir = tempfile.TemporaryDirectory()
+tmp = Path(workdir.name)
 
 series = generate(ModelSpec("henon", 2000))
 series_path = tmp / "henon.txt"
@@ -51,3 +52,4 @@ for args in (
     print()
 
 print((tmp / "sweep.csv").read_text())
+workdir.cleanup()

@@ -207,6 +207,7 @@ def surrogate_test(input_path, fmt, delimiter, column, header, measure_flag,
         doc = dio.ReportDocument(
             provenance={"input": input_path, "seed": seed,
                         "n_surrogates": n_surrogates,
+                        "max_iterations": max_iterations,
                         "config": dio._config_to_dict(config),
                         "tool_version": __version__},
             verdicts=[verdict],
@@ -296,7 +297,8 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
     dio._durable_write(os.path.join(out_dir, "table.csv"),
                        "\n".join(rows) + "\n")
     doc = dio.ReportDocument(
-        provenance={"seed": seed, "n_surrogates": n_surrogates, "n": n,
+        provenance={"seed": seed, "n_surrogates": n_surrogates,
+                    "max_iterations": params.max_iterations, "n": n,
                     "tau": 1, "scheme": "equal-value",
                     "tool_version": __version__},
         reports=reports,

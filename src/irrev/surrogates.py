@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +48,11 @@ class IaaftParams:
     n_surrogates: int = 500
 
     def __post_init__(self):
+        for name in ("max_iterations", "n_surrogates", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.n_surrogates < 1:
@@ -78,6 +84,20 @@ def _rel_spectrum_error(mag: np.ndarray, target_mag: np.ndarray) -> float:
     )
 
 
+def _ranks(y: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(y, kind="stable")``, mostly at default-sort cost.
+
+    With distinct keys the sorting permutation is unique, so the default
+    sort gives the stable one; one gather-and-compare detects ties (signed
+    zeros included, as ``-0.0 == 0.0``) and only then is the stable sort run.
+    """
+    order = np.argsort(y)
+    ys = y[order]
+    if np.any(ys[1:] == ys[:-1]):
+        return np.argsort(y, kind="stable")
+    return order
+
+
 def iaaft(series, params: IaaftParams, index: int = 0):
     """One IAAFT surrogate plus convergence diagnostics.
 
@@ -85,6 +105,9 @@ def iaaft(series, params: IaaftParams, index: int = 0):
     keep current phases; the DC bin keeps the original value and zero-
     magnitude bins get zero phase) with rank ordering (replace values by the
     original's sorted values at the current ranks, ties broken by index).
+    Ranks come from the default sort and fall back to the stable sort only
+    when the values have ties, so they, and the output bytes, are those of
+    a stable sort.
     Stops when the rank permutation repeats between consecutive iterations
     or ``max_iterations`` is reached; returns the rank-ordered series.
     """
@@ -104,21 +127,19 @@ def iaaft(series, params: IaaftParams, index: int = 0):
 
     prev_order = None
     initial_err = math.nan
-    err = math.nan
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
         f = np.fft.rfft(cur)
         mag = np.abs(f)
-        err = _rel_spectrum_error(mag, target_mag)
         if iterations == 1:
-            initial_err = err
+            initial_err = _rel_spectrum_error(mag, target_mag)
         phase = np.where(mag > 0, f / np.where(mag > 0, mag, 1.0), 1.0)
         f_new = target_mag * phase
         f_new[0] = target[0]
         y = np.fft.irfft(f_new, n)
 
-        order = np.argsort(y, kind="stable")
+        order = _ranks(y)
         cur = np.empty_like(cur)
         cur[order] = sorted_x
         if prev_order is not None and np.array_equal(order, prev_order):

@@ -155,6 +155,8 @@ class TestSurrogateTest:
         assert fields[6] == "true"  # significant_above
         doc = json.loads(report.read_text())
         assert len(doc["verdicts"][0]["surrogate_values"]) == 20
+        assert doc["provenance"]["n_surrogates"] == 20
+        assert doc["provenance"]["max_iterations"] == 1000
 
     def test_constant_input_is_numeric_error(self, capsys, constant_file):
         code, _, _ = run(capsys, "surrogate-test", "--input", constant_file,
@@ -184,6 +186,10 @@ class TestReproModels:
         rows = (out_dir / "table.csv").read_text().splitlines()
         assert rows[0] == "series,kind,m,value,p2_5,p97_5"
         assert len(rows) == 1 + 3 * 2 * 2  # series x kinds x (m=2,3)
+        provenance = json.loads((out_dir / "report.json").read_text())[
+            "provenance"]
+        assert provenance["n_surrogates"] == 3
+        assert provenance["max_iterations"] == 1000
 
         # Every value and band equals a member-by-member recomputation.
         params = IaaftParams(seed=3, n_surrogates=3)

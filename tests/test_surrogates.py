@@ -1,7 +1,9 @@
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrev import (
     DegenerateSeries,
@@ -16,7 +18,7 @@ from irrev import (
     percentile_nearest_rank,
     significance_test,
 )
-from irrev.surrogates import ensemble_values, mix_seed
+from irrev.surrogates import _ranks, ensemble_values, mix_seed
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +88,75 @@ class TestIaaft:
             with pytest.raises(NonFiniteSample):
                 iaaft(x, IaaftParams(seed=1), 0)
 
+    # Frozen digests of the little-endian float64 bytes: the surrogate for a
+    # fixed (series, params, index) must never silently change.
+    @pytest.mark.parametrize("series, params, index, digest", [
+        pytest.param(
+            np.random.default_rng(99).standard_normal(4096),
+            IaaftParams(seed=1, max_iterations=100), 0,
+            "dbf91d6df77a03e4774908fb88b4e6404780bb96c39f7296e22bd0d332feb93e",
+            id="gaussian",
+        ),
+        pytest.param(
+            np.random.default_rng(2).integers(0, 5, 256).astype(float),
+            IaaftParams(seed=3), 4,
+            "1cb52d872ae0b7d0c6532b4ffb2e6f508ec59741868a77faef8c1333b177e31d",
+            id="discrete",
+        ),
+        pytest.param(  # every iteration has tied values: the stable path
+            np.tile([0.0, 1.0], 32), IaaftParams(seed=1), 3,
+            "96a034b8134b402ab1d7bd56b2ed8a389137223c39982c321d8205dd512a70fc",
+            id="alternating",
+        ),
+    ])
+    def test_surrogate_bytes_are_frozen(self, series, params, index, digest):
+        surrogate, _ = iaaft(series, params, index)
+        data = np.ascontiguousarray(surrogate, dtype="<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_mix_seed_is_stable(self):
         # Frozen values: the ensemble stream must never silently change.
         assert mix_seed(0, 0) == 16294208416658607535
         assert mix_seed(0, 1) == 7960286522194355700
         assert mix_seed(1, 0) == 10451216379200822465
+
+
+class TestIaaftParams:
+    @pytest.mark.parametrize("field", ["max_iterations", "n_surrogates", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_non_integers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            IaaftParams(**{field: bad})
+
+    def test_numpy_integers_normalised(self):
+        params = IaaftParams(max_iterations=np.int64(5), seed=np.uint32(7),
+                             n_surrogates=np.int32(3))
+        assert params == IaaftParams(max_iterations=5, seed=7, n_surrogates=3)
+        assert all(type(v) is int for v in
+                   (params.max_iterations, params.seed, params.n_surrogates))
+
+    def test_bounds(self):
+        with pytest.raises(ValueError):
+            IaaftParams(max_iterations=0)
+        with pytest.raises(ValueError):
+            IaaftParams(n_surrogates=0)
+
+
+_tied_samples = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+class TestRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(_tied_samples, max_size=200),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=200,
+                 unique=True),
+    ))
+    def test_equals_stable_argsort(self, values):
+        y = np.array(values, dtype=np.float64)
+        got = _ranks(y)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(y, kind="stable"))
 
 
 class TestPercentile:
