@@ -16,9 +16,10 @@ import os
 import uuid
 from dataclasses import dataclass, field
 
-from .errors import EmptyFile, NonFiniteSample, ParseError
+from .errors import EmptyFile, InvalidPattern, NonFiniteSample, ParseError
 from .measures import IrreversibilityReport, PairContribution, SAME_BIN
-from .ordinal import EmbeddingConfig, Pattern, pattern_to_string
+from .ordinal import (EmbeddingConfig, Pattern, _trusted_pattern,
+                      pattern_to_string)
 from .surrogates import SurrogateVerdict
 
 SCHEMA_VERSION = "1"
@@ -151,22 +152,28 @@ def _pair_to_dict(pair: PairContribution) -> dict:
     }
 
 
-def _pattern_from_codec(text: str, scheme: str) -> Pattern:
-    return Pattern(tuple(int(v) for v in text.split(",")), scheme)
+def _pattern_parser(config: EmbeddingConfig, parsed: dict[str, Pattern]):
+    """Codec parser that builds one ``Pattern`` per string, kept in ``parsed``.
 
+    Checks only that a string holds ``config.m`` integer labels in
+    ``1..m``; realisability is not checked, reports are trusted input.
+    """
+    m, scheme = config.m, config.scheme
 
-def _pair_from_dict(d: dict, scheme: str) -> PairContribution:
-    counterpart = (
-        SAME_BIN if d["counterpart"] == SAME_BIN
-        else _pattern_from_codec(d["counterpart"], scheme)
-    )
-    return PairContribution(
-        pattern=_pattern_from_codec(d["pattern"], scheme),
-        counterpart=counterpart,
-        p_forward=d["p_forward"],
-        p_counterpart=d["p_counterpart"],
-        ys=d["ys"],
-    )
+    def parse(text: str) -> Pattern:
+        pattern = parsed.get(text)
+        if pattern is None:
+            try:
+                labels = tuple(map(int, text.split(",")))
+            except ValueError:
+                labels = ()
+            if len(labels) != m or min(labels) < 1 or max(labels) > m:
+                raise InvalidPattern(
+                    f"pattern {text!r} does not have {m} labels in 1..{m}")
+            pattern = parsed[text] = _trusted_pattern(labels, scheme)
+        return pattern
+
+    return parse
 
 
 def report_to_dict(report: IrreversibilityReport) -> dict:
@@ -181,13 +188,32 @@ def report_to_dict(report: IrreversibilityReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> IrreversibilityReport:
+def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
+    """Rebuild a report; ``patterns`` shares parsed patterns between reports.
+
+    ``patterns`` maps ``(m, scheme)`` to the patterns parsed so far under
+    that configuration, by codec string.
+    """
     config = _config_from_dict(d["config"])
+    parsed = {} if patterns is None else patterns.setdefault(
+        (config.m, config.scheme), {})
+    pattern = _pattern_parser(config, parsed)
+    pairs = [
+        PairContribution(
+            pattern=pattern(p["pattern"]),
+            counterpart=(SAME_BIN if p["counterpart"] == SAME_BIN
+                         else pattern(p["counterpart"])),
+            p_forward=p["p_forward"],
+            p_counterpart=p["p_counterpart"],
+            ys=p["ys"],
+        )
+        for p in d["pairs"]
+    ]
     return IrreversibilityReport(
         kind=d["kind"],
         config=config,
         value=d["value"],
-        pairs=[_pair_from_dict(p, config.scheme) for p in d["pairs"]],
+        pairs=pairs,
         n_observed_patterns=d["n_observed_patterns"],
         n_forbidden_counterparts=d["n_forbidden_counterparts"],
         n_windows=d["n_windows"],
@@ -226,9 +252,10 @@ def document_to_dict(doc: ReportDocument) -> dict:
 
 
 def document_from_dict(d: dict) -> ReportDocument:
+    patterns = {}
     return ReportDocument(
         provenance=d["provenance"],
-        reports=[report_from_dict(r) for r in d["reports"]],
+        reports=[report_from_dict(r, patterns) for r in d["reports"]],
         verdicts=[verdict_from_dict(v) for v in d["verdicts"]],
         schema_version=d["schema_version"],
     )
@@ -241,6 +268,13 @@ def write_report(doc: ReportDocument, path: str) -> None:
 
 
 def read_report(path: str) -> ReportDocument:
+    """Load a report document written by :func:`write_report`.
+
+    Each distinct pattern string is parsed once per document and
+    configuration, and must hold ``m`` integer labels in ``1..m``, else
+    :class:`InvalidPattern` is raised. Reports are otherwise trusted input:
+    neither the realisability of a pattern nor the numbers are re-checked.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         return document_from_dict(json.load(fh))
 

@@ -14,16 +14,21 @@ forbidden (zero probability). The measure value is
     value = 1/2 * sum over patterns of Ys(H(pi), G(pi))
 
 where H and G are the forward and transformed histograms. Windows are
-encoded by :mod:`irrev.ordinal`; H is built once per (m, tau). On tie-free
-data, and for AIR under the equal-value scheme, the symmetric counterpart
-pi* of each pattern is exact, so G is H relabelled by pi -> pi* and the
-value is presented as a sum over unordered pairs {pi, pi*}. Only tied TIR,
-and tied AIR under the original scheme, re-extract G from the transformed
-windows and pair each bin with itself.
+encoded by :mod:`irrev.ordinal`; H is built once per (m, tau) and kept as
+sorted int64 pattern codes with their counts (big-endian label digits, so
+code order is the lexicographic label order). On tie-free data, and for AIR
+under the equal-value scheme, the symmetric counterpart pi* of each pattern
+is exact, so G is H under the code-level map pi -> pi* (digit reversal for
+AIR, digit complement for TIR) and the value is presented as a sum over
+unordered pairs {pi, pi*}. Only tied TIR, and tied AIR under the original
+scheme, re-extract G from the transformed windows and pair each bin with
+itself. H and G are aligned on the union of their codes, and the pair
+columns are computed on arrays; :class:`~irrev.ordinal.Pattern` objects are
+decoded once per histogram and reused in the pairs.
 
-Counts are exact integers; the value is accumulated in rational arithmetic
-and converted to float once, so invariance identities (affine, reversal,
-negation) hold exactly.
+Counts are exact integers; the value is accumulated in rational arithmetic,
+one fraction per distinct denominator ``ci + cj``, and converted to float
+once, so invariance identities (affine, reversal, negation) hold exactly.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ from .ordinal import (
     SCHEME_EQUAL_VALUE,
     EmbeddingConfig,
     Pattern,
+    _complemented_codes,
     _count_patterns,
+    _decode,
     _encode_windows,
-    amplitude_reverse,
-    time_reverse_tie_free,
+    _reversed_codes,
 )
 
 TRANSFORM_IDENTITY = "identity"
@@ -58,13 +64,21 @@ SAME_BIN = "same-bin"
 
 @dataclass(frozen=True)
 class PatternHistogram:
-    """Exact pattern counts over all windows of a series under a transform."""
+    """Exact pattern counts over all windows of a series under a transform.
+
+    ``codes`` (sorted int64 pattern codes), ``code_counts`` and ``patterns``
+    (the decoded codes) are aligned, in code order; ``counts`` maps those
+    same ``Pattern`` objects to their counts.
+    """
 
     config: EmbeddingConfig
     transform: str
     counts: dict[Pattern, int]
     n_windows: int
     n_tied_windows: int = 0
+    codes: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    code_counts: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    patterns: list[Pattern] = field(kw_only=True, compare=False, repr=False)
 
     def probability(self, pattern: Pattern) -> float:
         return self.counts.get(pattern, 0) / self.n_windows
@@ -129,9 +143,13 @@ def build_histogram(
         windows = -windows
 
     labels, tied = _encode_windows(windows, config)
+    codes, code_counts = _count_patterns(labels)
+    patterns = _decode(codes, config.m, config.scheme)
     return PatternHistogram(config, transform,
-                            _count_patterns(labels, config.scheme),
-                            len(labels), int(np.count_nonzero(tied)))
+                            dict(zip(patterns, code_counts.tolist())),
+                            len(labels), int(np.count_nonzero(tied)),
+                            codes=codes, code_counts=code_counts,
+                            patterns=patterns)
 
 
 def ys_divergence(a: float, b: float) -> float:
@@ -148,70 +166,102 @@ def ys_divergence(a: float, b: float) -> float:
     return p_i * (p_i - p_j) / (p_i + p_j)
 
 
-def _ys_exact(ci: int, cj: int, n_windows: int) -> Fraction:
-    """Ys on exact count ratios ci/n, cj/n."""
-    if ci < cj:
-        ci, cj = cj, ci
-    if ci == 0:
-        return Fraction(0)
-    return Fraction(ci, n_windows) * Fraction(ci - cj, ci + cj)
-
-
-def _counterpart_map(kind: str, scheme: str, data_tie_free: bool):
-    """Pattern-level symmetry map when it is exact, else None.
+def _counterpart_codes(kind: str, scheme: str, data_tie_free: bool):
+    """Code-level symmetry map when it is exact, else None.
 
     Amplitude reversal matches window negation for every equal-value pattern
     and on tie-free data under any scheme; the time-reversal map is exact on
     tie-free data only.
     """
     if kind == KIND_AIR and (scheme == SCHEME_EQUAL_VALUE or data_tie_free):
-        return amplitude_reverse
+        return _reversed_codes
     if kind == KIND_TIR and data_tie_free:
-        return time_reverse_tie_free
+        return _complemented_codes
     return None
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes of two code arrays.
+
+    Sort-based: ``np.union1d`` takes numpy's hash-table path, which is many
+    times slower on these arrays and grows the resident memory on first use.
+    """
+    codes = np.sort(np.concatenate((a, b)))
+    return codes[np.r_[True, codes[1:] != codes[:-1]]]
+
+
+def _counts_at(codes: np.ndarray, hist: PatternHistogram) -> np.ndarray:
+    """Counts of ``hist`` at each code, 0 where it has none."""
+    at = np.minimum(np.searchsorted(hist.codes, codes), len(hist.codes) - 1)
+    return np.where(hist.codes[at] == codes, hist.code_counts[at], 0)
+
+
+def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
+    """1/2 sum of Ys(h/n, g/n) in rational arithmetic, rounded once.
+
+    Each term is ci (ci - cj) / (n (ci + cj)) with ci = max(h, g), so the
+    numerators are summed exactly per denominator d = ci + cj (each sum is
+    at most (2n)**2, inside int64 for n < 1.5e9) before one fraction per d
+    is added.
+    """
+    ci, cj = np.maximum(h, g), np.minimum(h, g)
+    d = ci + cj
+    order = np.argsort(d)
+    d, num = d[order], (ci * (ci - cj))[order]
+    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+    total = sum(Fraction(s, q) for s, q in
+                zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()))
+    return float(total / (2 * n))
 
 
 def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
     """TIR or AIR of the series from its forward histogram ``fwd``."""
-    config, n, h = fwd.config, fwd.n_windows, fwd.counts
-    counterpart_of = _counterpart_map(kind, config.scheme,
-                                      fwd.n_tied_windows == 0)
+    config, n, m = fwd.config, fwd.n_windows, fwd.config.m
+    counterpart_of = _counterpart_codes(kind, config.scheme,
+                                        fwd.n_tied_windows == 0)
+    # H and G on the union of their codes, and a Pattern per code: the
+    # histograms' own, decoded here only for counterparts H does not hold.
     if counterpart_of is None:
         transform = (TRANSFORM_TIME_REVERSE if kind == KIND_TIR
                      else TRANSFORM_NEGATE)
-        g = build_histogram(series, config, transform).counts
+        bwd = build_histogram(series, config, transform)
+        support = _union(fwd.codes, bwd.codes)
+        h, g = _counts_at(support, fwd), _counts_at(support, bwd)
+        patterns = np.empty(len(support), dtype=object)
+        patterns[np.searchsorted(support, bwd.codes)] = bwd.patterns
     else:
-        g = {counterpart_of(p): c for p, c in h.items()}
+        support = _union(fwd.codes, counterpart_of(fwd.codes, m))
+        partner = counterpart_of(support, m)
+        h, g = _counts_at(support, fwd), _counts_at(partner, fwd)
+        patterns = np.empty(len(support), dtype=object)
+        patterns[h == 0] = _decode(support[h == 0], m, config.scheme)
+    patterns[np.searchsorted(support, fwd.codes)] = fwd.patterns
 
-    support = sorted(h.keys() | g.keys(), key=lambda p: p.labels)
-    total = Fraction(0)
-    for p in support:
-        total += _ys_exact(h.get(p, 0), g.get(p, 0), n)
-
-    pairs: list[PairContribution] = []
-    seen: set[Pattern] = set()
-    for p in support:
-        if p in seen:
-            continue
-        pf, pc = h.get(p, 0) / n, g.get(p, 0) / n
-        ys = ys_divergence(pf, pc)
-        if counterpart_of is None:
-            # No exact pattern-level map: each bin is paired with the same
-            # bin of the transformed histogram and carries half its term.
-            pairs.append(PairContribution(p, SAME_BIN, pf, pc, ys / 2))
-        else:
-            q = counterpart_of(p)
-            seen.update((p, q))
-            pairs.append(
-                PairContribution(p, SAME_BIN if q == p else q, pf, pc, ys))
+    # ys_divergence's float operations, on every support code at once.
+    pf, pc = h / n, g / n
+    pi, pj = np.maximum(pf, pc), np.minimum(pf, pc)
+    ys = np.where(pj == 0, pi, pi * (pi - pj) / (pi + pj))
+    if counterpart_of is None:
+        # No exact pattern-level map: each bin is paired with the same bin
+        # of the transformed histogram and carries half its term.
+        emit = np.arange(len(support))
+        counterparts = [SAME_BIN] * len(support)
+        ys = ys / 2
+    else:
+        # Each unordered pair {p, p*} is reported once, at its smaller code.
+        emit = np.flatnonzero(support <= partner)
+        at = np.searchsorted(support, partner[emit])
+        counterparts = np.where(at == emit, SAME_BIN, patterns[at]).tolist()
+    pairs = list(map(PairContribution, patterns[emit].tolist(), counterparts,
+                     pf[emit].tolist(), pc[emit].tolist(), ys[emit].tolist()))
 
     return IrreversibilityReport(
         kind=kind,
         config=config,
-        value=float(total / 2),
+        value=_exact_value(h, g, n),
         pairs=pairs,
-        n_observed_patterns=len(h),
-        n_forbidden_counterparts=sum(1 for p in h if g.get(p, 0) == 0),
+        n_observed_patterns=len(fwd.codes),
+        n_forbidden_counterparts=int(np.count_nonzero((h > 0) & (g == 0))),
         n_windows=n,
     )
 

@@ -9,6 +9,7 @@ on the exact samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,13 @@ class ModelSpec:
             raise InvalidParams("n must be >= 1")
         if self.burn_in < 0:
             raise InvalidParams("burn_in must be >= 0")
+        if self.kind == "gaussian":
+            seed = self.params.get("seed")
+            if seed is None:
+                raise InvalidParams("gaussian series requires an explicit seed")
+            if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+                raise InvalidParams(
+                    f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
 
 
 def paper_length() -> int:
@@ -66,11 +74,9 @@ def _henon(n, alpha=1.4, beta=0.3, x1=0.01, y1=0.01):
     return out
 
 
-def _gaussian(n, mean=0.0, sd=1.0, seed=None):
+def _gaussian(n, seed, mean=0.0, sd=1.0):
     if sd <= 0:
         raise InvalidParams("sd must be positive")
-    if seed is None:
-        raise InvalidParams("gaussian series requires an explicit seed")
     rng = np.random.default_rng(int(seed))
     return mean + sd * rng.standard_normal(n)
 

@@ -2,8 +2,13 @@
 
 This module owns the encoding: :func:`_encode_windows` labels the window
 matrices of :mod:`irrev.measures` and the single window of
-:func:`extract_pattern`, and patterns are counted as int64 codes of
-base-(m + 1) digits, which bounds ``m`` to ``2..15``.
+:func:`extract_pattern`, and :func:`_count_patterns` counts label rows as
+int64 codes. A code packs the labels big-endian as base-(m + 1) digits,
+``sum(label_k * (m + 1) ** (m - 1 - k))``, so ascending codes are the
+lexicographic order of the label sequences, and the largest code,
+below ``(m + 1) ** m``, bounds ``m`` to ``2..15``. Both symmetry transforms
+act on codes too: amplitude reversal reverses the digits and time reversal
+complements them (``m + 1 - d``).
 
 A window of ``m`` samples is encoded by listing its positions (1-based) in
 ascending value order. Two tie-handling schemes are supported:
@@ -81,7 +86,7 @@ class Pattern:
     scheme: str = SCHEME_EQUAL_VALUE
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
+        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
@@ -123,14 +128,47 @@ def _encode_windows(windows: np.ndarray, config: EmbeddingConfig):
     return labels, tied.any(axis=1)
 
 
-def _count_patterns(labels: np.ndarray, scheme: str) -> dict[Pattern, int]:
-    """Count distinct label rows, packed as int64 codes of base-(m + 1) digits."""
-    m = labels.shape[1]
-    weights = (m + 1) ** np.arange(m, dtype=np.int64)
-    codes, n = np.unique(labels.astype(np.int64) @ weights, return_counts=True)
-    rows = codes[:, None] // weights % (m + 1)
-    return {Pattern(tuple(r), scheme): k
-            for r, k in zip(rows.tolist(), n.tolist())}
+def _code_weights(m: int) -> np.ndarray:
+    """Big-endian digit weights ``(m + 1) ** (m - 1 ... 0)`` of a pattern code."""
+    return (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def _count_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct codes of the label rows, and how often each occurs."""
+    codes = labels.astype(np.int64) @ _code_weights(labels.shape[1])
+    return np.unique(codes, return_counts=True)
+
+
+def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
+    """Label matrix of the codes, one row per code."""
+    return codes[:, None] // _code_weights(m) % (m + 1)
+
+
+def _trusted_pattern(labels: tuple[int, ...], scheme: str) -> Pattern:
+    """A ``Pattern`` from a tuple of ints and a checked scheme, as is.
+
+    Skips the normalisation and checks of ``Pattern.__init__``, which cost
+    more than the rest of a histogram decode.
+    """
+    pattern = object.__new__(Pattern)
+    object.__setattr__(pattern, "labels", labels)
+    object.__setattr__(pattern, "scheme", scheme)
+    return pattern
+
+
+def _decode(codes: np.ndarray, m: int, scheme: str) -> list[Pattern]:
+    return [_trusted_pattern(tuple(r), scheme)
+            for r in _code_digits(codes, m).tolist()]
+
+
+def _reversed_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """Codes of the amplitude-reversed patterns: digits in reverse order."""
+    return _code_digits(codes, m) @ _code_weights(m)[::-1]
+
+
+def _complemented_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """Codes of the time-reversed tie-free patterns: digits ``m + 1 - d``."""
+    return (m + 1) * _code_weights(m).sum() - codes
 
 
 def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
@@ -234,7 +272,7 @@ def canonical_representative(pattern: Pattern) -> list[int]:
 
 def pattern_to_string(pattern: Pattern) -> str:
     """Codec used in all reports: comma-separated labels, no spaces."""
-    return ",".join(str(v) for v in pattern.labels)
+    return ",".join(map(str, pattern.labels))
 
 
 def pattern_from_string(text: str, scheme: str = SCHEME_EQUAL_VALUE) -> Pattern:

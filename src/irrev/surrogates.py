@@ -57,6 +57,8 @@ class IaaftParams:
             raise ValueError("max_iterations must be >= 1")
         if self.n_surrogates < 1:
             raise ValueError("n_surrogates must be >= 1")
+        if not 0 <= self.seed <= _MASK64:  # mix_seed would alias the rest
+            raise ValueError(f"seed must lie in 0..2**64 - 1, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
-"""Naive reference implementation of the irreversibility measures.
+"""Reference implementations of the irreversibility measures, for tests.
 
-Deliberately independent of :mod:`irrev.ordinal` and :mod:`irrev.measures`:
-windows are materialized as plain lists, the ordinal encoding uses its own
-insertion sort, counts live in association lists, and the half-sum formula
-is evaluated directly in rational arithmetic. Intended for testing on small
-inputs only (n up to ~10^4).
+:func:`measure_by_definition_oracle` is deliberately independent of
+:mod:`irrev.ordinal` and :mod:`irrev.measures`: windows are materialized as
+plain lists, the ordinal encoding uses its own insertion sort, counts live
+in association lists, and the half-sum formula is evaluated directly in
+rational arithmetic. Intended for testing on small inputs only (n up to
+~10^4).
+
+:func:`reference_measure` is the earlier dict-based pair decomposition of
+:mod:`irrev.measures`, kept as it was: it works on the public
+``PatternHistogram.counts`` dicts and the pattern-level symmetry maps, adds
+one fraction per pattern, and builds a full report, pairs included, to
+compare with :func:`irrev.measures.measure`.
 """
 
 from __future__ import annotations
@@ -12,6 +19,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from irrev.errors import NonFiniteSample, SeriesTooShort
+from irrev.measures import (
+    KIND_AIR,
+    KIND_TIR,
+    SAME_BIN,
+    TRANSFORM_NEGATE,
+    TRANSFORM_TIME_REVERSE,
+    IrreversibilityReport,
+    PairContribution,
+    PatternHistogram,
+    build_histogram,
+    ys_divergence,
+)
+from irrev.ordinal import (
+    SCHEME_EQUAL_VALUE,
+    Pattern,
+    amplitude_reverse,
+    time_reverse_tie_free,
+)
 
 
 def _ordinal_labels(window, scheme, tie_epsilon):
@@ -100,3 +125,78 @@ def measure_by_definition_oracle(series, config, kind) -> float:
         if ci > 0:
             total += Fraction(ci, n_windows) * Fraction(ci - cj, ci + cj)
     return float(total / 2)
+
+
+# -- the dict-based pair decomposition ----------------------------------------
+
+def _ys_exact(ci: int, cj: int, n_windows: int) -> Fraction:
+    """Ys on exact count ratios ci/n, cj/n."""
+    if ci < cj:
+        ci, cj = cj, ci
+    if ci == 0:
+        return Fraction(0)
+    return Fraction(ci, n_windows) * Fraction(ci - cj, ci + cj)
+
+
+def _counterpart_map(kind: str, scheme: str, data_tie_free: bool):
+    """Pattern-level symmetry map when it is exact, else None.
+
+    Amplitude reversal matches window negation for every equal-value pattern
+    and on tie-free data under any scheme; the time-reversal map is exact on
+    tie-free data only.
+    """
+    if kind == KIND_AIR and (scheme == SCHEME_EQUAL_VALUE or data_tie_free):
+        return amplitude_reverse
+    if kind == KIND_TIR and data_tie_free:
+        return time_reverse_tie_free
+    return None
+
+
+def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
+    """TIR or AIR of the series from its forward histogram ``fwd``."""
+    config, n, h = fwd.config, fwd.n_windows, fwd.counts
+    counterpart_of = _counterpart_map(kind, config.scheme,
+                                      fwd.n_tied_windows == 0)
+    if counterpart_of is None:
+        transform = (TRANSFORM_TIME_REVERSE if kind == KIND_TIR
+                     else TRANSFORM_NEGATE)
+        g = build_histogram(series, config, transform).counts
+    else:
+        g = {counterpart_of(p): c for p, c in h.items()}
+
+    support = sorted(h.keys() | g.keys(), key=lambda p: p.labels)
+    total = Fraction(0)
+    for p in support:
+        total += _ys_exact(h.get(p, 0), g.get(p, 0), n)
+
+    pairs: list[PairContribution] = []
+    seen: set[Pattern] = set()
+    for p in support:
+        if p in seen:
+            continue
+        pf, pc = h.get(p, 0) / n, g.get(p, 0) / n
+        ys = ys_divergence(pf, pc)
+        if counterpart_of is None:
+            # No exact pattern-level map: each bin is paired with the same
+            # bin of the transformed histogram and carries half its term.
+            pairs.append(PairContribution(p, SAME_BIN, pf, pc, ys / 2))
+        else:
+            q = counterpart_of(p)
+            seen.update((p, q))
+            pairs.append(
+                PairContribution(p, SAME_BIN if q == p else q, pf, pc, ys))
+
+    return IrreversibilityReport(
+        kind=kind,
+        config=config,
+        value=float(total / 2),
+        pairs=pairs,
+        n_observed_patterns=len(h),
+        n_forbidden_counterparts=sum(1 for p in h if g.get(p, 0) == 0),
+        n_windows=n,
+    )
+
+
+def reference_measure(series, config, kind) -> IrreversibilityReport:
+    """The full report of the dict-based pair decomposition."""
+    return _report(series, build_histogram(series, config), kind)

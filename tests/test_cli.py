@@ -280,6 +280,15 @@ class TestUsageAndEnv:
      "--delimiter", ""],
     ["analyze", "--input", "{input}", "--m", "3", "--format", "csv",
      "--column", "-1"],
+    ["generate", "gaussian", "--n", "10", "--seed", "-1", "--out",
+     "{tmp}/g.txt"],
+    ["generate", "gaussian", "--n", "10", "--seed", str(2**64), "--out",
+     "{tmp}/g.txt"],
+    ["repro-models", "--out-dir", "{tmp}/repro", "--seed", "-3", "--n",
+     "64", "--n-surrogates", "1"],
+    ["surrogate-test", "--input", "{input}", "--m", "3", "--seed", "-1"],
+    ["surrogate-test", "--input", "{input}", "--m", "3", "--seed",
+     str(5 + 2**64)],
 ])
 def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from irrev import (
     EmbeddingConfig,
     EmptyFile,
+    InvalidPattern,
     NonFiniteSample,
     ParseError,
     measure,
@@ -127,6 +129,28 @@ class TestReportDocument:
         write_report(doc, str(path))
         loaded = read_report(str(path))
         assert loaded.reports[0].value == 0.0
+
+    @pytest.mark.parametrize("field, bad", [
+        ("pattern", "9,9,9"), ("pattern", "1,2"), ("pattern", "1,2,3,1"),
+        ("pattern", "0,1,2"), ("pattern", "a,b,c"), ("counterpart", "1,2,4"),
+    ])
+    def test_malformed_pattern_rejected(self, tmp_path, field, bad):
+        path = tmp_path / "bad.json"
+        write_report(self._document(), str(path))
+        doc = json.loads(path.read_text())
+        pair = next(p for p in doc["reports"][1]["pairs"]
+                    if p["counterpart"] != "same-bin")
+        pair[field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidPattern, match="labels in 1..3"):
+            read_report(str(path))
+
+    def test_patterns_parsed_once_per_document(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(self._document(), str(path))
+        tir, air = read_report(str(path)).reports
+        assert tir.pairs[0].pattern.labels == air.pairs[0].pattern.labels
+        assert tir.pairs[0].pattern is air.pairs[0].pattern
 
     def test_schema_version(self, tmp_path):
         path = tmp_path / "v.json"

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,21 +8,25 @@ from hypothesis import given, settings, strategies as st
 from irrev import (
     DomainError,
     EmbeddingConfig,
+    ModelSpec,
     NonFiniteSample,
     Pattern,
     SeriesTooShort,
     amplitude_reverse,
     build_histogram,
+    generate,
     measure,
     sweep,
     time_reverse_tie_free,
     ys_divergence,
 )
 from irrev import measures
+from irrev.io import ReportDocument, write_report
 from irrev.measures import SAME_BIN
 
 from conftest import random_series_with_ties
-from oracle import _ordinal_labels, measure_by_definition_oracle
+from oracle import (_ordinal_labels, measure_by_definition_oracle,
+                    reference_measure)
 
 
 class TestBuildHistogram:
@@ -266,6 +271,71 @@ class TestEncoderAgainstOracle:
         for kind in ("TIR", "AIR"):
             assert measure(x, cfg, kind).value == \
                 measure_by_definition_oracle(x, cfg, kind)
+
+
+@st.composite
+def _report_case(draw):
+    m = draw(st.integers(2, 7))
+    tau = draw(st.integers(1, 3))
+    n = (m - 1) * tau + draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        samples = st.lists(st.integers(-3, 3).map(float), min_size=n,
+                           max_size=n)  # tied
+    else:
+        samples = st.lists(st.floats(-1e3, 1e3, allow_nan=False),
+                           min_size=n, max_size=n, unique=True)
+    cfg = EmbeddingConfig(
+        m=m, tau=tau,
+        scheme=draw(st.sampled_from(["original", "equal-value"])),
+        tie_epsilon=draw(st.sampled_from([0.0, 0.5])),
+    )
+    return np.array(draw(samples)), cfg
+
+
+class TestReportAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_report_case(), st.sampled_from(["TIR", "AIR"]))
+    def test_whole_report(self, case, kind):
+        # Value, counts and every pair (patterns, order, floats) agree with
+        # the dict-based decomposition.
+        x, cfg = case
+        assert measure(x, cfg, kind) == reference_measure(x, cfg, kind)
+
+    def test_histogram_arrays_in_label_order(self):
+        x = np.round(np.random.default_rng(16).standard_normal(400), 1)
+        h = build_histogram(x, EmbeddingConfig(m=4, tau=2))
+        assert np.all(np.diff(h.codes) > 0)
+        assert h.patterns == sorted(h.counts, key=lambda p: p.labels)
+        assert h.code_counts.tolist() == [h.counts[p] for p in h.patterns]
+
+
+class TestReportBytes:
+    # sha256 of the report document of one TIR and one AIR report at m=5,
+    # tau=2; frozen from the dict-based decomposition.
+    DIGESTS = {
+        ("tied", "equal-value"):
+            "61e6eeca0cc45513f2d51f7718d74147a67a06f9a0afe50bce05ce824ad0d52c",
+        ("tied", "original"):
+            "12e405688933bcd64210e64a5cdf64ef6a80f30b5394d170e7e4ac4aaa1af900",
+        ("logistic", "equal-value"):
+            "ab91e5fde04ed5236aab6c16abca5d200b4018a57690bca841e61ff65e37274c",
+        ("logistic", "original"):
+            "e582cc23e0c96d25a6a8db8c46d9275f2bb824269431f24bebd0108f410afe47",
+    }
+
+    @pytest.mark.parametrize("name, scheme", sorted(DIGESTS))
+    def test_report_bytes_are_frozen(self, tmp_path, name, scheme):
+        if name == "tied":
+            x = np.round(np.random.default_rng(7).standard_normal(5000), 1)
+        else:
+            x = generate(ModelSpec("logistic", 5000))
+        cfg = EmbeddingConfig(m=5, tau=2, scheme=scheme)
+        doc = ReportDocument(provenance={"case": name},
+                             reports=[measure(x, cfg, k) for k in ("TIR", "AIR")])
+        path = tmp_path / "report.json"
+        write_report(doc, str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[(name, scheme)]
 
 
 class TestForwardHistogramOnce:

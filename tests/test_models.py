@@ -62,6 +62,15 @@ class TestGaussian:
         x = generate(ModelSpec("gaussian", n, params={"seed": 123}))
         assert abs(x.mean()) < 4.0 / np.sqrt(n)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "5"])
+    def test_seed_domain(self, seed):
+        with pytest.raises(InvalidParams, match="seed"):
+            ModelSpec("gaussian", 10, params={"seed": seed})
+
+    def test_largest_seed(self):
+        spec = ModelSpec("gaussian", 10, params={"seed": 2**64 - 1})
+        assert len(generate(spec)) == 10
+
     def test_invalid_sd(self):
         with pytest.raises(InvalidParams):
             generate(ModelSpec("gaussian", 10, params={"sd": 0.0, "seed": 1}))

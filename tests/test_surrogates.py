@@ -141,6 +141,12 @@ class TestIaaftParams:
         with pytest.raises(ValueError):
             IaaftParams(n_surrogates=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_domain(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            IaaftParams(seed=seed)
+        assert IaaftParams(seed=2**64 - 1).seed == 2**64 - 1
+
 
 _tied_samples = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
