@@ -16,7 +16,6 @@ from .errors import (
     ParseError,
     SeriesTooShort,
     TiedPatternUnsupported,
-    TooShort,
 )
 from .measures import (
     KIND_AIR,
@@ -48,6 +47,7 @@ from .surrogates import (
     IaaftParams,
     SurrogateVerdict,
     iaaft,
+    percentile_band,
     percentile_nearest_rank,
     significance_test,
 )

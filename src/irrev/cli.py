@@ -8,7 +8,9 @@ All randomness requires an explicit seed.
 
 from __future__ import annotations
 
+import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -18,14 +20,16 @@ from .errors import DataError, InvalidParams, NumericError
 from .measures import KIND_AIR, KIND_TIR, measure, sweep
 from .models import ModelSpec, generate as generate_series, paper_length
 from .ordinal import EmbeddingConfig
-from .surrogates import (IaaftParams, ensemble_values,
-                         percentile_nearest_rank, significance_test)
+from .surrogates import (IaaftParams, ensemble_values, percentile_band,
+                         significance_test)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK_FAILED = 4
+
+_MEASURE_CHOICE = click.Choice([KIND_TIR, KIND_AIR, "both"])
 
 
 def _parse_range(text: str) -> list[int]:
@@ -42,35 +46,42 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _kinds(measure_flag: str) -> list[str]:
-    if measure_flag == "both":
-        return [KIND_TIR, KIND_AIR]
-    if measure_flag in (KIND_TIR, KIND_AIR):
-        return [measure_flag]
-    raise click.UsageError(f"--measure must be TIR, AIR or both, got {measure_flag!r}")
+    return [KIND_TIR, KIND_AIR] if measure_flag == "both" else [measure_flag]
 
 
-def _usage(make, **kwargs):
-    """Build a config object, reporting a rejected value as a usage error."""
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+_SERIES_OPTIONS = (
+    click.option("--input", "input_path", required=True,
+                 type=click.Path(dir_okay=False)),
+    click.option("--format", "fmt", type=click.Choice(["plain", "csv"]),
+                 default="plain", show_default=True),
+    click.option("--delimiter", default=",", show_default=True),
+    click.option("--column", type=int, default=0, show_default=True,
+                 help="0-based CSV column index"),
+    click.option("--header/--no-header", default=False,
+                 help="skip the first CSV row"),
+    click.option("--scheme", type=click.Choice(["original", "equal-value"]),
+                 default="equal-value", show_default=True),
+    click.option("--tie-epsilon", type=float, default=0.0, show_default=True),
+)
 
 
-def _series_file(path, fmt, delimiter, column, header) -> dio.SeriesFile:
-    return _usage(dio.SeriesFile, path=path, format=fmt, delimiter=delimiter,
-                  column=column, header=header)
-
-
-def _input_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(["plain", "csv"]),
-                     default="plain", show_default=True)(f)
-    f = click.option("--delimiter", default=",", show_default=True)(f)
-    f = click.option("--column", type=int, default=0, show_default=True,
-                     help="0-based CSV column index")(f)
-    f = click.option("--header/--no-header", default=False,
-                     help="skip the first CSV row")(f)
+def _series_options(f):
+    """The input file and tie-handling options of the series commands."""
+    for option in reversed(_SERIES_OPTIONS):
+        f = option(f)
     return f
+
+
+def _read_series(input_path, fmt, delimiter, column, header):
+    return dio.read_series(dio.SeriesFile(input_path, fmt, delimiter, column,
+                                          header))
+
+
+def _write_document(out, provenance, **fields):
+    """Write a report document whose provenance names this tool version."""
+    doc = dio.ReportDocument(
+        provenance={**provenance, "tool_version": __version__}, **fields)
+    dio.write_report(doc, out)
 
 
 @click.group()
@@ -94,14 +105,11 @@ def cli():
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
     """Generate a benchmark model series and write it as a plain file."""
-    if model == "logistic":
-        params = {"r": r, "x1": x1}
-    elif model == "henon":
-        params = {"alpha": alpha, "beta": beta, "x1": x1, "y1": y1}
-    else:
-        if seed is None:
-            raise click.UsageError("gaussian requires --seed (no silent seeding)")
-        params = {"mean": mean, "sd": sd, "seed": seed}
+    params = {
+        "logistic": {"r": r, "x1": x1},
+        "henon": {"alpha": alpha, "beta": beta, "x1": x1, "y1": y1},
+        "gaussian": {"mean": mean, "sd": sd, "seed": seed},
+    }[model]
     series = generate_series(ModelSpec(kind=model, n=n, burn_in=burn_in,
                                        params=params))
     dio.write_series(series, out)
@@ -109,60 +117,45 @@ def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
 
 
 @cli.command()
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=False, dir_okay=False))
-@_input_options
-@click.option("--measure", "measure_flag", default="both", show_default=True)
+@_series_options
+@click.option("--measure", "measure_flag", type=_MEASURE_CHOICE,
+              default="both", show_default=True)
 @click.option("--m", type=int, required=True)
 @click.option("--tau", type=int, default=1, show_default=True)
-@click.option("--scheme", type=click.Choice(["original", "equal-value"]),
-              default="equal-value", show_default=True)
-@click.option("--tie-epsilon", type=float, default=0.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write a JSON report document")
-def analyze(input_path, fmt, delimiter, column, header, measure_flag, m, tau,
-            scheme, tie_epsilon, out):
+def analyze(measure_flag, m, tau, scheme, tie_epsilon, out, **source):
     """Compute TIR and/or AIR for a series file."""
-    config = _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
-                    tie_epsilon=tie_epsilon)
-    series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
-                                          header))
+    config = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
+                             tie_epsilon=tie_epsilon)
+    series = _read_series(**source)
     reports = [measure(series, config, kind) for kind in _kinds(measure_flag)]
     for rep in reports:
         click.echo(f"{rep.kind} {m} {tau} {rep.value:.17g}")
     if out:
-        doc = dio.ReportDocument(
-            provenance={"input": input_path,
-                        "config": dio._config_to_dict(config),
-                        "tool_version": __version__},
-            reports=reports,
-        )
-        dio.write_report(doc, out)
+        _write_document(out, provenance={"input": source["input_path"],
+                                         "config": asdict(config)},
+                        reports=reports)
 
 
 @cli.command("sweep")
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=False, dir_okay=False))
-@_input_options
+@_series_options
 @click.option("--m", "m_range", required=True, help="single value or a..b")
 @click.option("--tau", "tau_range", default="1", show_default=True,
               help="single value or a..b")
-@click.option("--measure", "measure_flag", default="both", show_default=True)
-@click.option("--scheme", type=click.Choice(["original", "equal-value"]),
-              default="equal-value", show_default=True)
-@click.option("--tie-epsilon", type=float, default=0.0, show_default=True)
+@click.option("--measure", "measure_flag", type=_MEASURE_CHOICE,
+              default="both", show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="CSV table output")
-def sweep_cmd(input_path, fmt, delimiter, column, header, m_range, tau_range,
-              measure_flag, scheme, tie_epsilon, out):
+def sweep_cmd(m_range, tau_range, measure_flag, scheme, tie_epsilon, out,
+              **source):
     """Sweep a (kind, m, tau) grid and emit a CSV table."""
     ms, taus = _parse_range(m_range), _parse_range(tau_range)
     for m in ms:
         for tau in taus:
-            _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
-                   tie_epsilon=tie_epsilon)
-    series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
-                                          header))
+            EmbeddingConfig(m=m, tau=tau, scheme=scheme,
+                            tie_epsilon=tie_epsilon)
+    series = _read_series(**source)
     reports = sweep(series, ms, taus, scheme=scheme, kinds=_kinds(measure_flag),
                     tie_epsilon=tie_epsilon)
     dio.write_sweep_csv(reports, out)
@@ -172,30 +165,23 @@ def sweep_cmd(input_path, fmt, delimiter, column, header, m_range, tau_range,
 
 
 @cli.command("surrogate-test")
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=False, dir_okay=False))
-@_input_options
+@_series_options
 @click.option("--measure", "measure_flag", default=KIND_TIR, show_default=True,
               type=click.Choice([KIND_TIR, KIND_AIR]))
 @click.option("--m", type=int, required=True)
 @click.option("--tau", type=int, default=1, show_default=True)
-@click.option("--scheme", type=click.Choice(["original", "equal-value"]),
-              default="equal-value", show_default=True)
-@click.option("--tie-epsilon", type=float, default=0.0, show_default=True)
 @click.option("--n-surrogates", type=int, default=100, show_default=True)
 @click.option("--max-iterations", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def surrogate_test(input_path, fmt, delimiter, column, header, measure_flag,
-                   m, tau, scheme, tie_epsilon, n_surrogates, max_iterations,
-                   seed, out):
+def surrogate_test(measure_flag, m, tau, scheme, tie_epsilon, n_surrogates,
+                   max_iterations, seed, out, **source):
     """Test a measure against an IAAFT surrogate ensemble."""
-    config = _usage(EmbeddingConfig, m=m, tau=tau, scheme=scheme,
-                    tie_epsilon=tie_epsilon)
-    params = _usage(IaaftParams, max_iterations=max_iterations, seed=seed,
-                    n_surrogates=n_surrogates)
-    series = dio.read_series(_series_file(input_path, fmt, delimiter, column,
-                                          header))
+    config = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
+                             tie_epsilon=tie_epsilon)
+    params = IaaftParams(max_iterations=max_iterations, seed=seed,
+                         n_surrogates=n_surrogates)
+    series = _read_series(**source)
     verdict = significance_test(series, config, measure_flag, params)
     click.echo(
         f"{measure_flag} {m} {tau} {verdict.original_value:.17g} "
@@ -204,15 +190,12 @@ def surrogate_test(input_path, fmt, delimiter, column, header, measure_flag,
         f"{str(verdict.significant_below).lower()}"
     )
     if out:
-        doc = dio.ReportDocument(
-            provenance={"input": input_path, "seed": seed,
-                        "n_surrogates": n_surrogates,
-                        "max_iterations": max_iterations,
-                        "config": dio._config_to_dict(config),
-                        "tool_version": __version__},
-            verdicts=[verdict],
-        )
-        dio.write_report(doc, out)
+        _write_document(out, provenance={"input": source["input_path"],
+                                         "seed": seed,
+                                         "n_surrogates": n_surrogates,
+                                         "max_iterations": max_iterations,
+                                         "config": asdict(config)},
+                        verdicts=[verdict])
 
 
 def _repro_checks(values, ms):
@@ -260,19 +243,13 @@ def _repro_checks(values, ms):
               help="series length (default: the benchmark length 100800)")
 def repro_models(out_dir, seed, n_surrogates, m_max, n):
     """Recompute the model-series benchmark (three series, m = 2..7, tau = 1)."""
-    import os
-
-    _usage(EmbeddingConfig, m=m_max)  # --m-max must itself be a valid m
-    params = _usage(IaaftParams, seed=seed, n_surrogates=n_surrogates)
-    os.makedirs(out_dir, exist_ok=True)
+    EmbeddingConfig(m=m_max)  # --m-max must itself be a valid m
+    params = IaaftParams(seed=seed, n_surrogates=n_surrogates)
     if n is None:
         n = paper_length()
-    series_by_name = {
-        "logistic": generate_series(ModelSpec("logistic", n)),
-        "henon": generate_series(ModelSpec("henon", n)),
-        "gaussian": generate_series(
-            ModelSpec("gaussian", n, params={"seed": seed})),
-    }
+    specs = [ModelSpec("logistic", n), ModelSpec("henon", n),
+             ModelSpec("gaussian", n, params={"seed": seed})]
+    os.makedirs(out_dir, exist_ok=True)
     ms = list(range(2, m_max + 1))
     configs = [EmbeddingConfig(m=m, tau=1) for m in ms]
     kinds = (KIND_TIR, KIND_AIR)
@@ -280,7 +257,9 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
     values = {}
     rows = ["series,kind,m,value,p2_5,p97_5"]
     reports = []
-    for name, series in series_by_name.items():
+    for spec in specs:
+        name = spec.kind
+        series = generate_series(spec)
         dio.write_series(series, os.path.join(out_dir, f"{name}.txt"))
         ensemble = ensemble_values(series, params, configs, kinds)
         originals = {(rep.kind, rep.config): rep
@@ -290,20 +269,16 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
                 rep = originals[(kind, config)]
                 values[(name, kind, config.m)] = rep.value
                 reports.append(rep)
-                lo = percentile_nearest_rank(ensemble[(kind, config)], 2.5)
-                hi = percentile_nearest_rank(ensemble[(kind, config)], 97.5)
+                lo, hi = percentile_band(ensemble[(kind, config)])
                 rows.append(f"{name},{kind},{config.m},{rep.value:.17g},"
                             f"{lo:.17g},{hi:.17g}")
     dio._durable_write(os.path.join(out_dir, "table.csv"),
                        "\n".join(rows) + "\n")
-    doc = dio.ReportDocument(
-        provenance={"seed": seed, "n_surrogates": n_surrogates,
-                    "max_iterations": params.max_iterations, "n": n,
-                    "tau": 1, "scheme": "equal-value",
-                    "tool_version": __version__},
-        reports=reports,
-    )
-    dio.write_report(doc, os.path.join(out_dir, "report.json"))
+    _write_document(os.path.join(out_dir, "report.json"),
+                    provenance={"seed": seed, "n_surrogates": n_surrogates,
+                                "max_iterations": params.max_iterations,
+                                "n": n, "tau": 1, "scheme": "equal-value"},
+                    reports=reports)
 
     all_ok = True
     for label, ok in _repro_checks(values, ms):

@@ -61,8 +61,8 @@ class DomainError(IrrevError):
     """A numeric argument is outside its documented domain."""
 
 
-class InvalidParams(IrrevError):
-    """Model or configuration parameters are out of range."""
+class InvalidParams(IrrevError, ValueError):
+    """A parameter or configuration value is out of range (a usage error)."""
 
 
 # -- numeric errors -----------------------------------------------------------
@@ -74,6 +74,3 @@ class DivergedOrbit(NumericError):
 class DegenerateSeries(NumericError):
     """Series is constant; surrogate generation is impossible."""
 
-
-class TooShort(NumericError):
-    """Series is too short for surrogate generation."""

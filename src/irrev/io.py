@@ -14,9 +14,10 @@ import json
 import math
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import EmptyFile, InvalidPattern, NonFiniteSample, ParseError
+from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
+                     ParseError)
 from .measures import IrreversibilityReport, PairContribution, SAME_BIN
 from .ordinal import (EmbeddingConfig, Pattern, _trusted_pattern,
                       pattern_to_string)
@@ -35,11 +36,11 @@ class SeriesFile:
 
     def __post_init__(self):
         if self.format not in ("plain", "csv"):
-            raise ValueError(f"format must be 'plain' or 'csv', got {self.format!r}")
+            raise InvalidParams(f"format must be 'plain' or 'csv', got {self.format!r}")
         if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be 1 character, got {self.delimiter!r}")
+            raise InvalidParams(f"delimiter must be 1 character, got {self.delimiter!r}")
         if self.column < 0:
-            raise ValueError(f"column must be >= 0, got {self.column}")
+            raise InvalidParams(f"column must be >= 0, got {self.column}")
 
 
 @dataclass
@@ -93,10 +94,8 @@ def read_series(file: SeriesFile) -> list[float]:
     return samples
 
 
-def write_series(series, path: str, format: str = "plain") -> None:
+def write_series(series, path: str) -> None:
     """Write one sample per line, 17 significant digits, newline-terminated."""
-    if format != "plain":
-        raise ValueError("only the plain format is supported for writing")
     samples = [float(v) for v in series]
     if not samples:
         raise EmptyFile("refusing to write an empty series")
@@ -122,21 +121,6 @@ def _durable_write(path: str, text: str) -> None:
 
 
 # -- JSON document codec -------------------------------------------------------
-
-def _config_to_dict(config: EmbeddingConfig) -> dict:
-    return {
-        "m": config.m,
-        "tau": config.tau,
-        "scheme": config.scheme,
-        "tie_epsilon": config.tie_epsilon,
-    }
-
-
-def _config_from_dict(d: dict) -> EmbeddingConfig:
-    return EmbeddingConfig(
-        m=d["m"], tau=d["tau"], scheme=d["scheme"], tie_epsilon=d["tie_epsilon"]
-    )
-
 
 def _pair_to_dict(pair: PairContribution) -> dict:
     counterpart = (
@@ -179,7 +163,7 @@ def _pattern_parser(config: EmbeddingConfig, parsed: dict[str, Pattern]):
 def report_to_dict(report: IrreversibilityReport) -> dict:
     return {
         "kind": report.kind,
-        "config": _config_to_dict(report.config),
+        "config": asdict(report.config),
         "value": report.value,
         "n_windows": report.n_windows,
         "n_observed_patterns": report.n_observed_patterns,
@@ -194,7 +178,7 @@ def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
     ``patterns`` maps ``(m, scheme)`` to the patterns parsed so far under
     that configuration, by codec string.
     """
-    config = _config_from_dict(d["config"])
+    config = EmbeddingConfig(**d["config"])
     parsed = {} if patterns is None else patterns.setdefault(
         (config.m, config.scheme), {})
     pattern = _pattern_parser(config, parsed)
@@ -220,34 +204,12 @@ def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
     )
 
 
-def verdict_to_dict(verdict: SurrogateVerdict) -> dict:
-    return {
-        "original_value": verdict.original_value,
-        "surrogate_values": list(verdict.surrogate_values),
-        "p2_5": verdict.p2_5,
-        "p97_5": verdict.p97_5,
-        "significant_above": verdict.significant_above,
-        "significant_below": verdict.significant_below,
-    }
-
-
-def verdict_from_dict(d: dict) -> SurrogateVerdict:
-    return SurrogateVerdict(
-        original_value=d["original_value"],
-        surrogate_values=list(d["surrogate_values"]),
-        p2_5=d["p2_5"],
-        p97_5=d["p97_5"],
-        significant_above=d["significant_above"],
-        significant_below=d["significant_below"],
-    )
-
-
 def document_to_dict(doc: ReportDocument) -> dict:
     return {
         "schema_version": doc.schema_version,
         "provenance": doc.provenance,
         "reports": [report_to_dict(r) for r in doc.reports],
-        "verdicts": [verdict_to_dict(v) for v in doc.verdicts],
+        "verdicts": [asdict(v) for v in doc.verdicts],
     }
 
 
@@ -256,7 +218,7 @@ def document_from_dict(d: dict) -> ReportDocument:
     return ReportDocument(
         provenance=d["provenance"],
         reports=[report_from_dict(r, patterns) for r in d["reports"]],
-        verdicts=[verdict_from_dict(v) for v in d["verdicts"]],
+        verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
         schema_version=d["schema_version"],
     )
 

@@ -34,6 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     InvalidPattern,
     LengthMismatch,
     NonFiniteSample,
@@ -65,17 +66,17 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         if not isinstance(self.m, Integral) or not 2 <= self.m <= _M_MAX:
-            raise ValueError(
+            raise InvalidParams(
                 f"dimension m must be an integer in 2..{_M_MAX}, got {self.m}"
             )
         if not isinstance(self.tau, Integral) or self.tau < 1:
-            raise ValueError(f"delay tau must be an integer >= 1, got {self.tau}")
+            raise InvalidParams(f"delay tau must be an integer >= 1, got {self.tau}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "tau", int(self.tau))
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+            raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not self.tie_epsilon >= 0:  # also rejects NaN
-            raise ValueError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
+            raise InvalidParams(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class Pattern:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(map(int, self.labels)))
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+            raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
     @property
     def m(self) -> int:

@@ -10,7 +10,8 @@ generation order or concurrency.
 at a time, scores each through :func:`irrev.measures.sweep` (one forward
 histogram per configuration, shared by every kind) and drops it before
 drawing the next, so memory does not grow with the ensemble size.
-``significance_test`` and the ``repro-models`` command both run on it.
+``significance_test`` and the ``repro-models`` command both run on it and
+both take their band from :func:`percentile_band`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateSeries, DomainError, EmptyInput, TooShort
+from .errors import (DegenerateSeries, DomainError, EmptyInput, InvalidParams,
+                     SeriesTooShort)
 from .measures import _validated_series, measure, sweep
 from .ordinal import EmbeddingConfig
 
@@ -51,14 +53,14 @@ class IaaftParams:
         for name in ("max_iterations", "n_surrogates", "seed"):
             value = getattr(self, name)
             if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InvalidParams("max_iterations must be >= 1")
         if self.n_surrogates < 1:
-            raise ValueError("n_surrogates must be >= 1")
+            raise InvalidParams("n_surrogates must be >= 1")
         if not 0 <= self.seed <= _MASK64:  # mix_seed would alias the rest
-            raise ValueError(f"seed must lie in 0..2**64 - 1, got {self.seed}")
+            raise InvalidParams(f"seed must lie in 0..2**64 - 1, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def iaaft(series, params: IaaftParams, index: int = 0):
     x = _validated_series(series)
     n = len(x)
     if n < 8:
-        raise TooShort(f"IAAFT needs at least 8 samples, got {n}")
+        raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
     if np.all(x == x[0]):
         raise DegenerateSeries("constant series has no non-DC spectral content")
 
@@ -170,6 +172,12 @@ def percentile_nearest_rank(values, q: float) -> float:
     return values[rank - 1]
 
 
+def percentile_band(values) -> tuple[float, float]:
+    """The 2.5th and 97.5th nearest-rank percentiles: a two-sided 95% band."""
+    return (percentile_nearest_rank(values, 2.5),
+            percentile_nearest_rank(values, 97.5))
+
+
 def ensemble_values(series, params: IaaftParams, configs, kinds):
     """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``."""
     values = {(kind, c): [] for c in configs for kind in kinds}
@@ -190,9 +198,7 @@ def significance_test(
     original = measure(series, config, kind).value
     surrogate_values = ensemble_values(series, params, [config],
                                        [kind])[(kind, config)]
-
-    p2_5 = percentile_nearest_rank(surrogate_values, 2.5)
-    p97_5 = percentile_nearest_rank(surrogate_values, 97.5)
+    p2_5, p97_5 = percentile_band(surrogate_values)
     return SurrogateVerdict(
         original_value=original,
         surrogate_values=surrogate_values,

@@ -163,6 +163,14 @@ class TestSurrogateTest:
                          "--m", "3", "--n-surrogates", "5", "--seed", "1")
         assert code == 3
 
+    def test_too_short_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("1\n2\n3\n4\n5\n")
+        code, _, err = run(capsys, "surrogate-test", "--input", str(path),
+                           "--m", "3", "--n-surrogates", "1", "--seed", "1")
+        assert code == 2
+        assert err.startswith("data error:") and "samples" in err
+
     def test_seed_required(self, capsys, increasing_file):
         code, _, _ = run(capsys, "surrogate-test", "--input", increasing_file,
                          "--m", "3")
@@ -289,9 +297,15 @@ class TestUsageAndEnv:
     ["surrogate-test", "--input", "{input}", "--m", "3", "--seed", "-1"],
     ["surrogate-test", "--input", "{input}", "--m", "3", "--seed",
      str(5 + 2**64)],
+    ["analyze", "--input", "{input}", "--m", "3", "--measure", "tir"],
+    ["sweep", "--input", "{input}", "--m", "3", "--measure", "xyz", "--out",
+     "{tmp}/s.csv"],
+    ["repro-models", "--out-dir", "{tmp}/repro", "--seed", "1", "--n", "0"],
 ])
 def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("usage error:")
+    # Parameters are checked before anything is created.
+    assert not (tmp_path / "repro").exists()

@@ -7,9 +7,11 @@ import pytest
 from irrev import (
     EmbeddingConfig,
     EmptyFile,
+    InvalidParams,
     InvalidPattern,
     NonFiniteSample,
     ParseError,
+    SurrogateVerdict,
     measure,
     sweep,
 )
@@ -54,6 +56,14 @@ class TestReadSeries:
         path.write_text("1.0\n")
         with pytest.raises(EmptyFile):
             read_series(SeriesFile(str(path)))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"format": "tsv"}, {"delimiter": ""}, {"delimiter": ";;"},
+        {"column": -1},
+    ])
+    def test_bad_options_are_invalid_params(self, kwargs):
+        with pytest.raises(InvalidParams):
+            SeriesFile("x.txt", **kwargs)
 
     def test_missing_csv_column(self, tmp_path):
         path = tmp_path / "narrow.csv"
@@ -151,6 +161,55 @@ class TestReportDocument:
         tir, air = read_report(str(path)).reports
         assert tir.pairs[0].pattern.labels == air.pairs[0].pattern.labels
         assert tir.pairs[0].pattern is air.pairs[0].pattern
+
+    def test_config_and_verdict_bytes(self, tmp_path):
+        verdict = SurrogateVerdict(
+            original_value=0.5, surrogate_values=[0.25, 0.125], p2_5=0.125,
+            p97_5=0.25, significant_above=True, significant_below=False)
+        doc = ReportDocument(
+            provenance={"config": {"m": 3, "scheme": "original", "tau": 2,
+                                   "tie_epsilon": 0.0}},
+            verdicts=[verdict])
+        path = tmp_path / "v.json"
+        write_report(doc, str(path))
+        assert path.read_text() == """{
+  "provenance": {
+    "config": {
+      "m": 3,
+      "scheme": "original",
+      "tau": 2,
+      "tie_epsilon": 0.0
+    }
+  },
+  "reports": [],
+  "schema_version": "1",
+  "verdicts": [
+    {
+      "original_value": 0.5,
+      "p2_5": 0.125,
+      "p97_5": 0.25,
+      "significant_above": true,
+      "significant_below": false,
+      "surrogate_values": [
+        0.25,
+        0.125
+      ]
+    }
+  ]
+}
+"""
+        assert read_report(str(path)).verdicts == [verdict]
+
+    def test_report_config_round_trip(self, tmp_path):
+        config = EmbeddingConfig(m=4, tau=2, scheme="original",
+                                 tie_epsilon=0.5)
+        doc = ReportDocument(provenance={},
+                             reports=[measure(np.arange(40.0), config, "AIR")])
+        path = tmp_path / "c.json"
+        write_report(doc, str(path))
+        assert json.loads(path.read_text())["reports"][0]["config"] == {
+            "m": 4, "tau": 2, "scheme": "original", "tie_epsilon": 0.5}
+        assert read_report(str(path)).reports[0].config == config
 
     def test_schema_version(self, tmp_path):
         path = tmp_path / "v.json"

@@ -6,6 +6,7 @@ import pytest
 
 from irrev import (
     EmbeddingConfig,
+    InvalidParams,
     InvalidPattern,
     LengthMismatch,
     NonFiniteSample,
@@ -38,6 +39,13 @@ class TestEmbeddingConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             EmbeddingConfig(**kwargs)
+
+    def test_bad_values_are_invalid_params(self):
+        assert issubclass(InvalidParams, ValueError)
+        with pytest.raises(InvalidParams):
+            EmbeddingConfig(m=1)
+        with pytest.raises(InvalidParams):
+            Pattern((1, 2), scheme="x")
 
     def test_m_bounded_by_code_width(self):
         assert EmbeddingConfig(m=15).m == 15

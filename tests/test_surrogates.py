@@ -11,10 +11,12 @@ from irrev import (
     EmbeddingConfig,
     EmptyInput,
     IaaftParams,
+    InvalidParams,
     NonFiniteSample,
-    TooShort,
+    SeriesTooShort,
     iaaft,
     measure,
+    percentile_band,
     percentile_nearest_rank,
     significance_test,
 )
@@ -80,7 +82,7 @@ class TestIaaft:
     def test_degenerate_and_short_inputs(self):
         with pytest.raises(DegenerateSeries):
             iaaft([3.0] * 100, IaaftParams(seed=1), 0)
-        with pytest.raises(TooShort):
+        with pytest.raises(SeriesTooShort):
             iaaft([1.0, 2.0, 3.0], IaaftParams(seed=1), 0)
         x = np.random.default_rng(33).standard_normal(64)
         for bad in (np.nan, np.inf):
@@ -141,6 +143,12 @@ class TestIaaftParams:
         with pytest.raises(ValueError):
             IaaftParams(n_surrogates=0)
 
+    def test_bad_values_are_invalid_params(self):
+        for kwargs in ({"max_iterations": 0}, {"n_surrogates": 0},
+                       {"seed": -1}, {"seed": 2.5}):
+            with pytest.raises(InvalidParams):
+                IaaftParams(**kwargs)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
     def test_seed_domain(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -170,6 +178,10 @@ class TestPercentile:
         assert percentile_nearest_rank(range(1, 501), 97.5) == 488
         assert percentile_nearest_rank([7.0], 50) == 7.0
         assert percentile_nearest_rank([1, 2, 3, 4], 50) == 2
+
+    def test_band(self):
+        assert percentile_band(range(500, 0, -1)) == (13, 488)
+        assert percentile_band([7.0]) == (7.0, 7.0)
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
