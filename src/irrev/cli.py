@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or too-short
 input), 3 numeric error (diverged orbit, degenerate series). Flags win over
-``IRREV_``-prefixed environment variables, which win over built-in defaults.
-All randomness requires an explicit seed.
+environment variables, named ``IRREV_<COMMAND>_<FLAG>`` (upper case, dashes
+as underscores), which win over built-in defaults. All randomness requires
+an explicit seed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,20 @@ EXIT_CHECK_FAILED = 4
 _MEASURE_CHOICE = click.Choice([KIND_TIR, KIND_AIR, "both"])
 
 
+class _FlagOption(click.Option):
+    """An option whose ``IRREV_`` variable is named after its flag.
+
+    click names the variable after the parameter; for ``--input``, whose
+    parameter is ``input_path``, this reads ``IRREV_<COMMAND>_INPUT``.
+    """
+
+    def resolve_envvar_value(self, ctx):
+        if ctx.auto_envvar_prefix is None:
+            return None
+        flag = self.opts[0].lstrip("-").replace("-", "_").upper()
+        return os.environ.get(f"{ctx.auto_envvar_prefix}_{flag}") or None
+
+
 def _parse_range(text: str) -> list[int]:
     """Parse '2..6' (inclusive) or a single integer."""
     lo, sep, hi = text.partition("..")
@@ -50,10 +65,11 @@ def _kinds(measure_flag: str) -> list[str]:
 
 
 _SERIES_OPTIONS = (
-    click.option("--input", "input_path", required=True,
+    click.option("--input", "input_path", cls=_FlagOption, required=True,
                  type=click.Path(dir_okay=False)),
-    click.option("--format", "fmt", type=click.Choice(["plain", "csv"]),
-                 default="plain", show_default=True),
+    click.option("--format", "fmt", cls=_FlagOption,
+                 type=click.Choice(["plain", "csv"]), default="plain",
+                 show_default=True),
     click.option("--delimiter", default=",", show_default=True),
     click.option("--column", type=int, default=0, show_default=True,
                  help="0-based CSV column index"),
@@ -118,8 +134,8 @@ def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
 
 @cli.command()
 @_series_options
-@click.option("--measure", "measure_flag", type=_MEASURE_CHOICE,
-              default="both", show_default=True)
+@click.option("--measure", "measure_flag", cls=_FlagOption,
+              type=_MEASURE_CHOICE, default="both", show_default=True)
 @click.option("--m", type=int, required=True)
 @click.option("--tau", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -140,11 +156,12 @@ def analyze(measure_flag, m, tau, scheme, tie_epsilon, out, **source):
 
 @cli.command("sweep")
 @_series_options
-@click.option("--m", "m_range", required=True, help="single value or a..b")
-@click.option("--tau", "tau_range", default="1", show_default=True,
+@click.option("--m", "m_range", cls=_FlagOption, required=True,
               help="single value or a..b")
-@click.option("--measure", "measure_flag", type=_MEASURE_CHOICE,
-              default="both", show_default=True)
+@click.option("--tau", "tau_range", cls=_FlagOption, default="1",
+              show_default=True, help="single value or a..b")
+@click.option("--measure", "measure_flag", cls=_FlagOption,
+              type=_MEASURE_CHOICE, default="both", show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="CSV table output")
 def sweep_cmd(m_range, tau_range, measure_flag, scheme, tie_epsilon, out,
@@ -166,8 +183,8 @@ def sweep_cmd(m_range, tau_range, measure_flag, scheme, tie_epsilon, out,
 
 @cli.command("surrogate-test")
 @_series_options
-@click.option("--measure", "measure_flag", default=KIND_TIR, show_default=True,
-              type=click.Choice([KIND_TIR, KIND_AIR]))
+@click.option("--measure", "measure_flag", cls=_FlagOption, default=KIND_TIR,
+              show_default=True, type=click.Choice([KIND_TIR, KIND_AIR]))
 @click.option("--m", type=int, required=True)
 @click.option("--tau", type=int, default=1, show_default=True)
 @click.option("--n-surrogates", type=int, default=100, show_default=True)

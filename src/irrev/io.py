@@ -15,6 +15,7 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
                      ParseError)
@@ -68,15 +69,22 @@ def _parse_sample(text: str, line_no: int) -> float:
 
 
 def read_series(file: SeriesFile) -> list[float]:
-    """Read samples in file order; blank lines are ignored in plain format."""
-    samples: list[float] = []
+    """Read samples in file order; blank lines are ignored in plain format.
+
+    A plain file is parsed in bulk. Only a file the bulk parse rejects
+    (blank lines, the unicode minus, an unparsable or non-finite sample)
+    is scanned again line by line, which raises the exact line's error.
+    """
     with open(file.path, "r", encoding="utf-8") as fh:
         if file.format == "plain":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                samples.append(_parse_sample(line, line_no))
+            samples = _bulk_samples(fh.read())
+            if samples is None:
+                fh.seek(0)
+                samples = [_parse_sample(line, line_no)
+                           for line_no, line in enumerate(fh, start=1)
+                           if line.strip()]
         else:
+            samples = []
             reader = _csv.reader(fh, delimiter=file.delimiter)
             for line_no, row in enumerate(reader, start=1):
                 if file.header and line_no == 1:
@@ -92,6 +100,18 @@ def read_series(file: SeriesFile) -> list[float]:
     if len(samples) < 2:
         raise EmptyFile(f"{file.path}: found {len(samples)} samples, need >= 2")
     return samples
+
+
+def _bulk_samples(text: str) -> list[float] | None:
+    """One finite float per line of ``text``, or None if any line is not."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline ends the last line
+    try:
+        samples = list(map(float, lines))
+    except ValueError:
+        return None
+    return samples if all(map(math.isfinite, samples)) else None
 
 
 def write_series(series, path: str) -> None:
@@ -122,20 +142,6 @@ def _durable_write(path: str, text: str) -> None:
 
 # -- JSON document codec -------------------------------------------------------
 
-def _pair_to_dict(pair: PairContribution) -> dict:
-    counterpart = (
-        SAME_BIN if pair.counterpart == SAME_BIN
-        else pattern_to_string(pair.counterpart)
-    )
-    return {
-        "pattern": pattern_to_string(pair.pattern),
-        "counterpart": counterpart,
-        "p_forward": pair.p_forward,
-        "p_counterpart": pair.p_counterpart,
-        "ys": pair.ys,
-    }
-
-
 def _pattern_parser(config: EmbeddingConfig, parsed: dict[str, Pattern]):
     """Codec parser that builds one ``Pattern`` per string, kept in ``parsed``.
 
@@ -158,18 +164,6 @@ def _pattern_parser(config: EmbeddingConfig, parsed: dict[str, Pattern]):
         return pattern
 
     return parse
-
-
-def report_to_dict(report: IrreversibilityReport) -> dict:
-    return {
-        "kind": report.kind,
-        "config": asdict(report.config),
-        "value": report.value,
-        "n_windows": report.n_windows,
-        "n_observed_patterns": report.n_observed_patterns,
-        "n_forbidden_counterparts": report.n_forbidden_counterparts,
-        "pairs": [_pair_to_dict(p) for p in report.pairs],
-    }
 
 
 def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
@@ -204,15 +198,6 @@ def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
     )
 
 
-def document_to_dict(doc: ReportDocument) -> dict:
-    return {
-        "schema_version": doc.schema_version,
-        "provenance": doc.provenance,
-        "reports": [report_to_dict(r) for r in doc.reports],
-        "verdicts": [asdict(v) for v in doc.verdicts],
-    }
-
-
 def document_from_dict(d: dict) -> ReportDocument:
     patterns = {}
     return ReportDocument(
@@ -223,10 +208,103 @@ def document_from_dict(d: dict) -> ReportDocument:
     )
 
 
+# ``json.dumps(..., sort_keys=True, indent=2)`` of a document, built in
+# pieces: the envelope of the document and of each report is rendered with an
+# empty ``reports``/``pairs`` list, whose line is then replaced by the items.
+# Only keys of the document sit at an indent of 2 spaces, and only keys of a
+# report at 6, so each of those lines occurs once in its envelope.
+_REPORT_INDENT = "    "
+_PAIR = (
+    "        {\n"
+    '          "counterpart": %s,\n'
+    '          "p_counterpart": %s,\n'
+    '          "p_forward": %s,\n'
+    '          "pattern": %s,\n'
+    '          "ys": %s\n'
+    "        }"
+)
+_PAIR_VALUE_NEWLINE = "\n" + " " * 10
+_SAME_BIN_TEXT = encode_basestring_ascii(SAME_BIN)
+
+
+def _splice(envelope: str, indent: str, key: str, items: list[str]) -> str:
+    """Put ``items`` in place of the empty list of ``key`` in ``envelope``."""
+    if not items:
+        return envelope
+    head, slot, tail = envelope.partition(f'\n{indent}"{key}": [],\n')
+    assert slot, key
+    return "".join((head, f'\n{indent}"{key}": [\n', ",\n".join(items),
+                    f"\n{indent}],\n", tail))
+
+
+def _pairs_text(pairs, numbers: dict, patterns: dict) -> list[str]:
+    """Each pair as ``json.dumps`` writes it inside a document.
+
+    ``numbers`` and ``patterns`` memoise the text of each distinct float
+    and label tuple across the document. A zero is formatted each time,
+    since ``0.0`` and ``-0.0`` share a key; values that are not floats go
+    through ``json.dumps`` itself.
+    """
+
+    def number(value) -> str:
+        if isinstance(value, float):
+            text = numbers.get(value)
+            if text is None or not value:
+                text = numbers[value] = (float.__repr__(value)
+                                         if math.isfinite(value)
+                                         else json.dumps(value))
+            return text
+        return json.dumps(value, sort_keys=True, indent=2).replace(
+            "\n", _PAIR_VALUE_NEWLINE)
+
+    def pattern(value) -> str:
+        if isinstance(value, str) and value == SAME_BIN:
+            return _SAME_BIN_TEXT
+        text = patterns.get(value.labels)
+        if text is None:
+            text = patterns[value.labels] = encode_basestring_ascii(
+                pattern_to_string(value))
+        return text
+
+    return [
+        _PAIR % (pattern(p.counterpart), number(p.p_counterpart),
+                 number(p.p_forward), pattern(p.pattern), number(p.ys))
+        for p in pairs
+    ]
+
+
+def _report_text(report: IrreversibilityReport, numbers: dict,
+                 patterns: dict) -> str:
+    envelope = json.dumps({
+        "kind": report.kind,
+        "config": asdict(report.config),
+        "value": report.value,
+        "n_windows": report.n_windows,
+        "n_observed_patterns": report.n_observed_patterns,
+        "n_forbidden_counterparts": report.n_forbidden_counterparts,
+        "pairs": [],
+    }, sort_keys=True, indent=2)
+    envelope = _REPORT_INDENT + envelope.replace("\n", "\n" + _REPORT_INDENT)
+    return _splice(envelope, _REPORT_INDENT + "  ", "pairs",
+                   _pairs_text(report.pairs, numbers, patterns))
+
+
 def write_report(doc: ReportDocument, path: str) -> None:
-    """Serialize a document as sorted-key UTF-8 JSON; durable on return."""
-    text = json.dumps(document_to_dict(doc), sort_keys=True, indent=2)
-    _durable_write(path, text + "\n")
+    """Serialize a document as sorted-key UTF-8 JSON; durable on return.
+
+    The bytes are those of ``json.dumps(..., sort_keys=True, indent=2)``
+    plus a newline. Only the envelope goes through ``json``; the pairs of
+    every report are rendered through one fixed template.
+    """
+    numbers, patterns = {}, {}
+    envelope = json.dumps({
+        "schema_version": doc.schema_version,
+        "provenance": doc.provenance,
+        "reports": [],
+        "verdicts": [asdict(v) for v in doc.verdicts],
+    }, sort_keys=True, indent=2) + "\n"
+    reports = [_report_text(r, numbers, patterns) for r in doc.reports]
+    _durable_write(path, _splice(envelope, "  ", "reports", reports))
 
 
 def read_report(path: str) -> ReportDocument:

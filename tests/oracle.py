@@ -12,13 +12,21 @@ rational arithmetic. Intended for testing on small inputs only (n up to
 ``PatternHistogram.counts`` dicts and the pattern-level symmetry maps, adds
 one fraction per pattern, and builds a full report, pairs included, to
 compare with :func:`irrev.measures.measure`.
+
+:func:`reference_report_text` and :func:`reference_read_series` are the
+earlier report writer (``json.dumps`` of the whole document) and the earlier
+line-by-line reader of plain series files, kept as the references of
+:func:`irrev.io.write_report` and :func:`irrev.io.read_series`.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from dataclasses import asdict
 from fractions import Fraction
 
-from irrev.errors import NonFiniteSample, SeriesTooShort
+from irrev.errors import EmptyFile, NonFiniteSample, ParseError, SeriesTooShort
 from irrev.measures import (
     KIND_AIR,
     KIND_TIR,
@@ -35,6 +43,7 @@ from irrev.ordinal import (
     SCHEME_EQUAL_VALUE,
     Pattern,
     amplitude_reverse,
+    pattern_to_string,
     time_reverse_tie_free,
 )
 
@@ -200,3 +209,69 @@ def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
 def reference_measure(series, config, kind) -> IrreversibilityReport:
     """The full report of the dict-based pair decomposition."""
     return _report(series, build_histogram(series, config), kind)
+
+
+# -- the json.dumps report writer and the line-by-line series reader ---------
+
+def _pair_to_dict(pair: PairContribution) -> dict:
+    counterpart = (
+        SAME_BIN if pair.counterpart == SAME_BIN
+        else pattern_to_string(pair.counterpart)
+    )
+    return {
+        "pattern": pattern_to_string(pair.pattern),
+        "counterpart": counterpart,
+        "p_forward": pair.p_forward,
+        "p_counterpart": pair.p_counterpart,
+        "ys": pair.ys,
+    }
+
+
+def _report_to_dict(report: IrreversibilityReport) -> dict:
+    return {
+        "kind": report.kind,
+        "config": asdict(report.config),
+        "value": report.value,
+        "n_windows": report.n_windows,
+        "n_observed_patterns": report.n_observed_patterns,
+        "n_forbidden_counterparts": report.n_forbidden_counterparts,
+        "pairs": [_pair_to_dict(p) for p in report.pairs],
+    }
+
+
+def _document_to_dict(doc) -> dict:
+    return {
+        "schema_version": doc.schema_version,
+        "provenance": doc.provenance,
+        "reports": [_report_to_dict(r) for r in doc.reports],
+        "verdicts": [asdict(v) for v in doc.verdicts],
+    }
+
+
+def reference_report_text(doc) -> str:
+    """The text of a ``ReportDocument`` as ``json.dumps`` renders it."""
+    return json.dumps(_document_to_dict(doc), sort_keys=True, indent=2) + "\n"
+
+
+def _parse_sample(text: str, line_no: int) -> float:
+    cleaned = text.strip().replace("\u2212", "-")
+    try:
+        value = float(cleaned)
+    except ValueError:
+        raise ParseError(line_no, text) from None
+    if not math.isfinite(value):
+        raise NonFiniteSample(f"line {line_no}: non-finite sample {text!r}")
+    return value
+
+
+def reference_read_series(path: str) -> list[float]:
+    """Samples of a plain series file, parsed one line at a time."""
+    samples: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            samples.append(_parse_sample(line, line_no))
+    if len(samples) < 2:
+        raise EmptyFile(f"{path}: found {len(samples)} samples, need >= 2")
+    return samples

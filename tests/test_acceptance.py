@@ -117,6 +117,7 @@ def test_criterion_5_tir_exceeds_air(logistic_series, henon_series):
                 f"({gaps[6]:.4f} <= {gaps[4]:.4f})", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_surrogate_discrimination(logistic_series, henon_series,
                                               gaussian_series):
     cfg = EmbeddingConfig(m=4)

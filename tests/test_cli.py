@@ -268,6 +268,14 @@ class TestUsageAndEnv:
         assert code == 0
         assert stdout == "TIR 4 1 1\n"
 
+    def test_parameter_named_env_var_is_ignored(self, capsys,
+                                                increasing_file, monkeypatch):
+        monkeypatch.setenv("IRREV_ANALYZE_MEASURE_FLAG", "AIR")
+        code, stdout, _ = run(capsys, "analyze", "--input", increasing_file,
+                              "--m", "3")
+        assert code == 0
+        assert stdout == "TIR 3 1 1\nAIR 3 1 1\n"
+
     def test_missing_required_flag_is_usage_error(self, capsys,
                                                   increasing_file):
         code, _, _ = run(capsys, "analyze", "--input", increasing_file)
@@ -309,3 +317,103 @@ def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     assert err.startswith("usage error:")
     # Parameters are checked before anything is created.
     assert not (tmp_path / "repro").exists()
+
+
+# Every flag of every command, with a value that changes the outcome of a
+# command line. {out} is a fresh directory per run.
+_SERIES_COMMANDS = {
+    "analyze": ("analyze --input {plain} --m 3 --out {out}/a.json",
+                {"--m": "4", "--tau": "2", "--measure": "AIR"}),
+    "sweep": ("sweep --input {plain} --m 2..3 --out {out}/s.csv",
+              {"--m": "3", "--tau": "1..2", "--measure": "AIR"}),
+    "surrogate-test": (
+        "surrogate-test --input {plain} --m 3 --seed 1 --n-surrogates 2 "
+        "--max-iterations 5 --out {out}/v.json",
+        {"--m": "4", "--tau": "2", "--measure": "AIR", "--seed": "2",
+         "--n-surrogates": "3", "--max-iterations": "6"}),
+}
+_CSV_FLAGS = [  # (flag, value, the input options it is tried with)
+    ("--format", "csv", "--input {comma}"),
+    ("--delimiter", ";", "--input {semicolon} --format csv"),
+    ("--column", "1", "--input {comma} --format csv"),
+    ("--header", None, "--input {header} --format csv"),
+]
+_GENERATE = "generate {} --n 20 --out {{out}}/g.txt"
+_REPRO = ("repro-models --out-dir {out}/r --seed 1 --n-surrogates 1 "
+          "--m-max 2 --n 64")
+_ENV_CASES = [
+    (command, flag, value, base)
+    for command, (base, changes) in _SERIES_COMMANDS.items()
+    for flag, value in [*changes.items(), ("--input", "{plain}"),
+                        ("--out", "{out}/o"), ("--scheme", "original"),
+                        ("--tie-epsilon", "1.5")]
+] + [
+    (command, flag, value, base.replace("--input {plain}", source))
+    for command, (base, _) in _SERIES_COMMANDS.items()
+    for flag, value, source in _CSV_FLAGS
+] + [
+    ("generate", flag, value, _GENERATE.format(model))
+    for model, flag, value in [
+        ("logistic", "--n", "30"), ("logistic", "--burn-in", "5"),
+        ("logistic", "--r", "3.9"), ("logistic", "--x1", "0.2"),
+        ("henon", "--y1", "0.2"), ("henon", "--alpha", "1.3"),
+        ("henon", "--beta", "0.2"), ("gaussian --seed 1", "--mean", "2"),
+        ("gaussian --seed 1", "--sd", "2"), ("gaussian", "--seed", "1"),
+        ("logistic", "--out", "{out}/h.txt"),
+    ]
+] + [
+    ("repro-models", flag, value, _REPRO)
+    for flag, value in [("--out-dir", "{out}/q"), ("--seed", "2"),
+                        ("--n-surrogates", "2"), ("--m-max", "3"),
+                        ("--n", "80")]
+]
+
+
+def _env_name(command, flag):
+    return f"IRREV_{command}_{flag[2:]}".upper().replace("-", "_")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, base", _ENV_CASES,
+    ids=[f"{_env_name(c, f)}" for c, f, _, _ in _ENV_CASES])
+def test_every_flag_has_its_env_var(capsys, tmp_path, monkeypatch, command,
+                                    flag, value, base):
+    """IRREV_<COMMAND>_<FLAG> acts as the flag does, and changes the run."""
+    rows = list(zip([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9] * 4,
+                    [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4] * 4))
+    files = {
+        "plain": "".join(f"{v}\n" for v, _ in rows),
+        "comma": "".join(f"{v},{w}\n" for v, w in rows),
+        "semicolon": "".join(f"{v};{w}\n" for v, w in rows),
+        "header": "x,y\n" + "".join(f"{v},{w}\n" for v, w in rows),
+    }
+    paths = {}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    runs = []
+
+    def outcome(argv, env):
+        out = tmp_path / f"run{len(runs)}"
+        out.mkdir()
+        fields = dict(paths, out=str(out))
+        argv = [a.format(**fields) for a in argv]
+        with monkeypatch.context() as patch:
+            for name, text in env.items():
+                patch.setenv(name, text.format(**fields))
+            code, stdout, _ = run(capsys, *argv)
+        written = {str(p.relative_to(out)): p.read_bytes()
+                   for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append(argv)
+        return code, stdout, written
+
+    argv = base.split()
+    if flag in argv:  # the flag goes, and its value with it
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    by_flag = outcome(argv + [flag] + ([value] if value else []), {})
+    by_env = outcome(argv, {_env_name(command, flag): value or "1"})
+    without = outcome(argv, {})
+    assert by_flag == by_env
+    assert by_flag != without

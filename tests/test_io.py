@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irrev import (
     EmbeddingConfig,
+    PairContribution,
+    Pattern,
     EmptyFile,
     InvalidParams,
     InvalidPattern,
@@ -24,6 +28,10 @@ from irrev.io import (
     write_series,
     write_sweep_csv,
 )
+from irrev import io as irrev_io
+from irrev.measures import SAME_BIN
+
+from oracle import reference_read_series, reference_report_text
 
 
 class TestReadSeries:
@@ -234,3 +242,187 @@ class TestSweepCsv:
             "AIR,3,1,0,28,0\n"
             "AIR,3,2,0,26,0\n"
         )
+
+
+def _outcome(read, path):
+    """What reading ``path`` gives: the samples, or the error raised."""
+    try:
+        return read(path)
+    except Exception as exc:  # compared by type, message and line number
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def _read_plain(path):
+    return read_series(SeriesFile(path))
+
+
+class TestReadSeriesMatchesLineReader:
+    @pytest.mark.parametrize("content", [
+        b"1.0\r\n2.5\r\n-3\r\n",                       # CRLF
+        b"1.0\r2.5\r-3\r",                              # lone CR
+        b"1.0\r\n2.5\r-3\n4",                           # mixed endings
+        b"1\n   \n2\n\t\n3\n",                          # whitespace-only
+        b"\n1\n\n\n2\n\n",                               # blank lines
+        b"1\n2\n3",                                      # no final newline
+        b"  1.5  \n\t2\t\n3e2\n1_000\n",                 # float() spellings
+        b"1\n1 2\n3\n",                                  # two values a line
+        "1\n\u22122.5\n3\n".encode(),                     # unicode minus
+        b"\xef\xbb\xbf1\n2\n3\n",                         # UTF-8 BOM
+        b"1\n2\nnan\n4\n",                               # nan at line 3
+        b"1\ninf\n",                                     # inf at line 2
+        b"1\n2\n3\n-Infinity\n",                         # -inf at line 4
+        b"1\n1e999\n",                                   # overflows to inf
+        "1\n2\u20283\n".encode(),                         # not a line break
+        b"1\n2\x0c3\n",                                  # nor a form feed
+        b"1\n\xff\n",                                    # not UTF-8
+        b"1\n", b"", b"\n\n", b"1\n\n\n",                # < 2 samples
+    ])
+    def test_same_outcome(self, tmp_path, content):
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+        expected = _outcome(reference_read_series, str(path))
+        assert _outcome(_read_plain, str(path)) == expected
+
+    def test_clean_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.txt"
+        write_series([0.1, -2.5, 3.0], str(path))
+
+        def per_line(text, line_no):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(irrev_io, "_parse_sample", per_line)
+        assert read_series(SeriesFile(str(path))) == [0.1, -2.5, 3.0]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+        st.sampled_from(["", " ", "\t", "\u22121.5", "1 2", "x", "nan",
+                         " 4.25 ", "\ufeff1"]),
+    ), max_size=12),
+        endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=12, max_size=12),
+        final=st.booleans())
+    def test_same_outcome_on_generated_files(self, tmp_path, lines, endings,
+                                             final):
+        text = "".join(line + end for line, end in zip(lines, endings))
+        if lines and not final:
+            text = text[:-len(endings[len(lines) - 1])]
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(reference_read_series, str(path))
+        assert _outcome(_read_plain, str(path)) == expected
+
+
+_TRICKY_TEXT = st.sampled_from([
+    '"pairs": [],', '"reports": [],', '\n  "reports": [],\n',
+    '\n      "pairs": [],\n', 'say "hi"\n', "tab\tback\\slash", "\u2212",
+    "\udcff", "",
+])
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    _TRICKY_TEXT)
+_KEYS = st.one_of(st.sampled_from(["pairs", "reports", "input", "seed"]),
+                  st.text(max_size=6), _TRICKY_TEXT)
+_PROVENANCE = st.dictionaries(_KEYS, st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=8), max_size=5)
+_PAIR_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     np.float64(0.1), np.float64(-0.0), 1, 0, True, False]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-10**6, 10**6))
+
+
+@st.composite
+def _measured_reports(draw):
+    m = draw(st.integers(2, 7))
+    tau = draw(st.integers(1, 2))
+    config = EmbeddingConfig(m=m, tau=tau,
+                             scheme=draw(st.sampled_from(
+                                 ["equal-value", "original"])))
+    n = (m - 1) * tau + draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        x = rng.integers(0, 3, size=n).astype(float)   # tied
+    else:
+        x = rng.permutation(n).astype(float)           # tie-free
+    return [measure(x, config, kind)
+            for kind in draw(st.sets(st.sampled_from(["TIR", "AIR"])))]
+
+
+@st.composite
+def _hand_built_report(draw):
+    m = draw(st.integers(2, 5))
+    labels = st.permutations(range(1, m + 1)).map(tuple)
+    pairs = draw(st.lists(st.builds(
+        PairContribution,
+        pattern=labels.map(Pattern),
+        counterpart=st.one_of(st.just(SAME_BIN), labels.map(Pattern)),
+        p_forward=_PAIR_VALUE, p_counterpart=_PAIR_VALUE, ys=_PAIR_VALUE),
+        max_size=6))
+    report = measure(np.arange(float(m + 3)), EmbeddingConfig(m=m), "TIR")
+    return dataclasses.replace(report, pairs=pairs,
+                               value=draw(_PAIR_VALUE))
+
+
+_VERDICT = st.builds(
+    SurrogateVerdict,
+    original_value=_PAIR_VALUE,
+    surrogate_values=st.lists(_PAIR_VALUE, max_size=4),
+    p2_5=_PAIR_VALUE, p97_5=_PAIR_VALUE,
+    significant_above=st.booleans(), significant_below=st.booleans())
+
+
+class TestWriteReportMatchesJsonDumps:
+    def _check(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        write_report(doc, str(path))
+        assert path.read_bytes() == reference_report_text(doc).encode("utf-8")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(provenance=_PROVENANCE,
+           reports=st.lists(st.one_of(_measured_reports(),
+                                      _hand_built_report().map(lambda r: [r])),
+                            max_size=3),
+           empty=st.booleans(),
+           verdicts=st.lists(_VERDICT, max_size=2))
+    def test_same_bytes(self, tmp_path, provenance, reports, empty, verdicts):
+        reports = [r for group in reports for r in group]
+        if empty and reports:
+            reports[0] = dataclasses.replace(reports[0], pairs=[])
+        self._check(tmp_path, ReportDocument(provenance=provenance,
+                                             reports=reports,
+                                             verdicts=verdicts))
+
+    def test_special_values_and_structural_strings(self, tmp_path):
+        x = np.round(np.random.default_rng(5).standard_normal(400), 0)
+        tied = measure(x, EmbeddingConfig(m=3, scheme="original"), "TIR")
+        assert any(p.counterpart == SAME_BIN for p in tied.pairs)
+        special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0,
+                   1, True, np.float64(0.25), np.float64(-0.0), 1.0]
+        pattern = Pattern((2, 1, 3))
+        hand = dataclasses.replace(tied, value=-0.0, pairs=[
+            PairContribution(pattern, counterpart, a, b, c)
+            for counterpart in (SAME_BIN, Pattern((3, 1, 2)))
+            for a, b, c in zip(special, special[3:] + special[:3],
+                               special[6:] + special[:6])])
+        verdict = SurrogateVerdict(float("nan"), [-0.0, np.float64(1.5)],
+                                   0.0, float("inf"), True, False)
+        provenance = {
+            "input": 'a "quoted"\nname "pairs": [],',
+            "nested": {"x": {"pairs": [], "reports": []}, "reports": []},
+            "pairs": [], "reports": [],
+            '"reports": [],': '\n  "reports": [],\n      "pairs": [],\n',
+        }
+        for reports in ([], [dataclasses.replace(tied, pairs=[])],
+                        [tied, hand, dataclasses.replace(hand, pairs=[])]):
+            self._check(tmp_path, ReportDocument(
+                provenance=provenance, reports=reports, verdicts=[verdict]))
