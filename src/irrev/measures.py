@@ -14,7 +14,8 @@ forbidden (zero probability). The measure value is
     value = 1/2 * sum over patterns of Ys(H(pi), G(pi))
 
 where H and G are the forward and transformed histograms. Windows are
-encoded by :mod:`irrev.ordinal`; H is built once per (m, tau) and kept as
+encoded by :mod:`irrev.ordinal` straight from the series (the reversed
+series for TIR, ``-x`` for AIR); H is built once per (m, tau) and kept as
 sorted int64 pattern codes with their counts (big-endian label digits, so
 code order is the lexicographic label order). On tie-free data, and for AIR
 under the equal-value scheme, the symmetric counterpart pi* of each pattern
@@ -38,15 +39,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteSample, SeriesTooShort
+from .errors import DomainError, InvalidParams, NonFiniteSample, SeriesTooShort
 from .ordinal import (
     SCHEME_EQUAL_VALUE,
     EmbeddingConfig,
     Pattern,
     _complemented_codes,
-    _count_patterns,
     _decode,
-    _encode_windows,
+    _encode,
     _reversed_codes,
 )
 
@@ -118,36 +118,24 @@ def _validated_series(series) -> np.ndarray:
         raise NonFiniteSample(f"non-finite sample at index {bad}")
     return x
 
-def _window_matrix(x: np.ndarray, m: int, tau: int) -> np.ndarray:
-    n_windows = len(x) - (m - 1) * tau
-    if n_windows < 1:
-        raise SeriesTooShort(
-            f"need at least {(m - 1) * tau + 1} samples for m={m}, tau={tau}; "
-            f"got {len(x)}"
-        )
-    idx = np.arange(n_windows)[:, None] + tau * np.arange(m)[None, :]
-    return x[idx]
-
 
 def build_histogram(
     series, config: EmbeddingConfig, transform: str = TRANSFORM_IDENTITY
 ) -> PatternHistogram:
     """Count patterns over every window of the series under a transform."""
     if transform not in _TRANSFORMS:
-        raise ValueError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
+        raise InvalidParams(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
     x = _validated_series(series)
-    windows = _window_matrix(x, config.m, config.tau)
     if transform == TRANSFORM_TIME_REVERSE:
-        windows = windows[:, ::-1]
+        x = x[::-1].copy()  # contiguous: comparisons are slow on strides < 0
     elif transform == TRANSFORM_NEGATE:
-        windows = -windows
-
-    labels, tied = _encode_windows(windows, config)
-    codes, code_counts = _count_patterns(labels)
+        x = -x
+    codes, tied = _encode(x, config)
+    codes, code_counts = np.unique(codes, return_counts=True)
     patterns = _decode(codes, config.m, config.scheme)
     return PatternHistogram(config, transform,
                             dict(zip(patterns, code_counts.tolist())),
-                            len(labels), int(np.count_nonzero(tied)),
+                            len(tied), int(np.count_nonzero(tied)),
                             codes=codes, code_counts=code_counts,
                             patterns=patterns)
 
@@ -269,7 +257,7 @@ def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
 def measure(series, config: EmbeddingConfig, kind: str) -> IrreversibilityReport:
     """Compute TIR or AIR with full per-pair decomposition."""
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        raise InvalidParams(f"kind must be one of {_KINDS}, got {kind!r}")
     return _report(series, build_histogram(series, config), kind)
 
 
@@ -290,7 +278,7 @@ def sweep(
     kinds = list(kinds)
     for k in kinds:
         if k not in _KINDS:
-            raise ValueError(f"unknown measure kind {k!r}")
+            raise InvalidParams(f"unknown measure kind {k!r}")
     by_kind = {kind: [] for kind in kinds}
     for m in m_range:
         for tau in tau_range:

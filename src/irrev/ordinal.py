@@ -1,15 +1,5 @@
 """Ordinal pattern extraction and pattern symmetry transforms.
 
-This module owns the encoding: :func:`_encode_windows` labels the window
-matrices of :mod:`irrev.measures` and the single window of
-:func:`extract_pattern`, and :func:`_count_patterns` counts label rows as
-int64 codes. A code packs the labels big-endian as base-(m + 1) digits,
-``sum(label_k * (m + 1) ** (m - 1 - k))``, so ascending codes are the
-lexicographic order of the label sequences, and the largest code,
-below ``(m + 1) ** m``, bounds ``m`` to ``2..15``. Both symmetry transforms
-act on codes too: amplitude reversal reverses the digits and time reversal
-complements them (``m + 1 - d``).
-
 A window of ``m`` samples is encoded by listing its positions (1-based) in
 ascending value order. Two tie-handling schemes are supported:
 
@@ -18,18 +8,27 @@ ascending value order. Two tie-handling schemes are supported:
 * ``"equal-value"`` -- every member of a tie group carries the group's lowest
   position index, e.g. ``{3,1,7,1,5}`` encodes to ``(2,2,1,5,3)``.
 
-Two symmetry transforms act on patterns: amplitude reversal (the pattern of
-the negated window; label-sequence reversal) and time reversal (the pattern
-of the reversed window; positional complement, defined only for tie-free
-patterns).
+:func:`_encode` encodes every window of a series (and the one window of
+:func:`extract_pattern`) from its column views ``x[k tau : k tau + n]``. One
+comparison per column pair gives each sample's rank, its slot in the stable
+sort of its window. A window is tied iff a pair lies within ``tie_epsilon``
+(the smallest gap is always between sorted neighbours, whose chaining makes
+the tie groups); an equal-value label is the lowest position of its tie
+component. A code places each label at its rank as big-endian base-(m + 1)
+digits, ``sum(label_k * (m + 1) ** (m - 1 - rank_k))``: ascending codes are
+the lexicographic label order, and ``(m + 1) ** m`` bounds ``m`` to 2..15.
+
+Two symmetry transforms act on patterns and on codes: amplitude reversal
+(the negated window; labels or digits reversed) and time reversal (the
+reversed window; complement ``m + 1 - label``, only for tie-free patterns).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import groupby
-from numbers import Integral
+from dataclasses import dataclass, replace
+from itertools import combinations, groupby
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteSample,
     ParseError,
+    SeriesTooShort,
     TiedPatternUnsupported,
 )
 
@@ -75,8 +75,9 @@ class EmbeddingConfig:
         object.__setattr__(self, "tau", int(self.tau))
         if self.scheme not in _SCHEMES:
             raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not self.tie_epsilon >= 0:  # also rejects NaN
-            raise InvalidParams(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
+        eps = self.tie_epsilon  # kept as given; NaN fails the comparison
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not eps >= 0:
+            raise InvalidParams(f"tie_epsilon must be a real number >= 0, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -102,42 +103,56 @@ class Pattern:
         return pattern_to_string(self)
 
 
-def _encode_windows(windows: np.ndarray, config: EmbeddingConfig):
-    """Label every row of a window matrix; also flag the rows with a tie.
+def _ties(a: np.ndarray, b: np.ndarray, tie_epsilon) -> np.ndarray:
+    """Tied aligned samples; a gap that overflows is inf, above any finite eps."""
+    if tie_epsilon == 0:
+        return a == b
+    with np.errstate(over="ignore"):
+        return np.abs(b - a) <= tie_epsilon
 
-    Labels are the 1-based positions in ascending value order (stable for
-    ties), collapsed to the tie-group minimum under the equal-value scheme.
-    """
-    m = config.m
-    order = np.argsort(windows, axis=1, kind="stable")
-    labels = order + 1
 
-    sv = np.take_along_axis(windows, order, axis=1)
-    tied = (sv[:, 1:] - sv[:, :-1]) <= config.tie_epsilon
-
-    if config.scheme == SCHEME_EQUAL_VALUE:
-        # Forward min pass leaves the full-run minimum on the run's last
-        # element; the backward pass copies it over the whole run.
-        for k in range(1, m):
-            labels[:, k] = np.where(
-                tied[:, k - 1],
-                np.minimum(labels[:, k - 1], labels[:, k]),
-                labels[:, k],
-            )
-        for k in range(m - 2, -1, -1):
-            labels[:, k] = np.where(tied[:, k], labels[:, k + 1], labels[:, k])
-    return labels, tied.any(axis=1)
+def _encode(x: np.ndarray, config: EmbeddingConfig):
+    """Pattern codes of every window of ``x``, and which windows hold a tie."""
+    m, tau, eps = config.m, config.tau, config.tie_epsilon
+    n = len(x) - (m - 1) * tau
+    if n < 1:
+        raise SeriesTooShort(f"need at least {(m - 1) * tau + 1} samples for "
+                             f"m={m}, tau={tau}; got {len(x)}")
+    cols = [x[k * tau : k * tau + n] for k in range(m)]
+    # rank_k starts at m - 1 - k; each pair's comparison moves one rank by one.
+    ranks = np.repeat(np.arange(m - 1, -1, -1, dtype=np.int8)[:, None], n, 1)
+    tied = np.zeros(n, dtype=bool)
+    for j, k in combinations(range(m), 2):
+        before = (cols[j] <= cols[k]).view(np.int8)
+        ranks[k] += before
+        ranks[j] -= before
+        tied |= _ties(cols[j], cols[k], eps)
+    labels = range(1, m + 1)
+    if config.scheme == SCHEME_EQUAL_VALUE and tied.any():
+        # Minima flow along tied pairs until none changes (for eps = 0 the
+        # components are equality classes, and one pass reaches every minimum).
+        labels = np.repeat(np.arange(1, m + 1, dtype=np.int8)[:, None], n, 1)
+        while True:
+            previous = labels.copy()
+            for j, k in combinations(range(m), 2):
+                tie = _ties(cols[j], cols[k], eps)
+                np.minimum(labels[k], labels[j], out=labels[k], where=tie)
+                np.minimum(labels[j], labels[k], out=labels[j], where=tie)
+            if eps == 0 or np.array_equal(labels, previous):
+                break
+    # "clip" only skips the bounds check, as ranks lie in 0..m-1; reusing
+    # ``term`` saves a fresh array per column, which costs more than a gather.
+    codes, term = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for label, rank in zip(labels, ranks):
+        np.take(_code_weights(m), rank, out=term, mode="clip")
+        term *= label
+        codes += term
+    return codes, tied
 
 
 def _code_weights(m: int) -> np.ndarray:
     """Big-endian digit weights ``(m + 1) ** (m - 1 ... 0)`` of a pattern code."""
     return (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-
-
-def _count_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct codes of the label rows, and how often each occurs."""
-    codes = labels.astype(np.int64) @ _code_weights(labels.shape[1])
-    return np.unique(codes, return_counts=True)
 
 
 def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
@@ -182,8 +197,8 @@ def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteSample(f"non-finite sample {v!r} in window")
-    labels, _ = _encode_windows(np.array([values]), config)
-    return Pattern(tuple(labels[0]), config.scheme)
+    codes, _ = _encode(np.array(values), replace(config, tau=1))
+    return Pattern(tuple(_code_digits(codes, config.m)[0]), config.scheme)
 
 
 def amplitude_reverse(pattern: Pattern) -> Pattern:

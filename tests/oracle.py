@@ -75,6 +75,12 @@ def _ordinal_labels(window, scheme, tie_epsilon):
     return tuple(labels)
 
 
+def _window_tied(window, tie_epsilon):
+    """True iff two neighbours in sorted order lie within tie_epsilon."""
+    ordered = sorted(window)
+    return any(b - a <= tie_epsilon for a, b in zip(ordered, ordered[1:]))
+
+
 def _assoc_increment(assoc, key):
     for entry in assoc:
         if entry[0] == key:

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from irrev import (
     DomainError,
     EmbeddingConfig,
+    InvalidParams,
     ModelSpec,
     NonFiniteSample,
     Pattern,
@@ -25,8 +28,8 @@ from irrev.io import ReportDocument, write_report
 from irrev.measures import SAME_BIN
 
 from conftest import random_series_with_ties
-from oracle import (_ordinal_labels, measure_by_definition_oracle,
-                    reference_measure)
+from oracle import (_ordinal_labels, _window_tied,
+                    measure_by_definition_oracle, reference_measure)
 
 
 class TestBuildHistogram:
@@ -74,6 +77,10 @@ class TestBuildHistogram:
             build_histogram([1, 2, 3, 4], cfg)
         with pytest.raises(NonFiniteSample):
             build_histogram([1, np.nan, 3, 4, 5, 6, 7, 8, 9], cfg)
+
+    def test_unknown_transform_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="transform"):
+            build_histogram([1.0, 2.0, 3.0], EmbeddingConfig(m=2), "mirror")
 
     def test_chunked_accumulation_merges_exactly(self):
         rng = np.random.default_rng(2)
@@ -125,6 +132,10 @@ class TestMeasure:
         rep = measure([7.0] * 200, EmbeddingConfig(m=4), kind)
         assert rep.value == 0.0
         assert rep.n_forbidden_counterparts == 0
+
+    def test_unknown_kind_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="'PE'"):
+            measure([1.0, 2.0, 3.0], EmbeddingConfig(m=2), "PE")
 
     def test_alternating_series(self):
         x = [1, 2, 1, 2, 1, 2, 1, 2, 1]
@@ -250,27 +261,53 @@ def _series_and_config(draw):
     return x, cfg
 
 
+def _check_against_oracle(x, cfg):
+    m, tau = cfg.m, cfg.tau
+    windows = [list(x[i : i + (m - 1) * tau + 1 : tau])
+               for i in range(len(x) - (m - 1) * tau)]
+    transforms = {"identity": lambda w: w,
+                  "time-reverse": lambda w: w[::-1],
+                  "negate": lambda w: [-v for v in w]}
+    for transform, apply in transforms.items():
+        expected = Counter(
+            _ordinal_labels(apply(w), cfg.scheme, cfg.tie_epsilon)
+            for w in windows
+        )
+        h = build_histogram(x, cfg, transform)
+        assert {p.labels: c for p, c in h.counts.items()} == expected
+        assert h.n_tied_windows == sum(
+            _window_tied(apply(w), cfg.tie_epsilon) for w in windows)
+    for kind in ("TIR", "AIR"):
+        assert measure(x, cfg, kind).value == \
+            measure_by_definition_oracle(x, cfg, kind)
+
+
 class TestEncoderAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(_series_and_config())
     def test_histograms_and_values(self, case):
-        x, cfg = case
-        m, tau = cfg.m, cfg.tau
-        windows = [list(x[i : i + (m - 1) * tau + 1 : tau])
-                   for i in range(len(x) - (m - 1) * tau)]
-        transforms = {"identity": lambda w: w,
-                      "time-reverse": lambda w: w[::-1],
-                      "negate": lambda w: [-v for v in w]}
-        for transform, apply in transforms.items():
-            expected = Counter(
-                _ordinal_labels(apply(w), cfg.scheme, cfg.tie_epsilon)
-                for w in windows
-            )
-            counts = build_histogram(x, cfg, transform).counts
-            assert {p.labels: c for p, c in counts.items()} == expected
-        for kind in ("TIR", "AIR"):
-            assert measure(x, cfg, kind).value == \
-                measure_by_definition_oracle(x, cfg, kind)
+        _check_against_oracle(*case)
+
+    @pytest.mark.parametrize("x, m, tie_epsilon", [
+        # signed zeros compare equal
+        ([0.0, -0.0, 0.0, 1.0, -0.0, -1.0, 0.0, -0.0], 3, 0.0),
+        # ties chain: the ends of (0, 0.4, 0.8) lie more than 0.5 apart
+        ([0.0, 0.4, 0.8, 0.1, 0.5, 2.0, 0.9, 0.45], 3, 0.5),
+        # gaps between +-1e308 overflow to inf
+        ([1e308, -1e308, 0.0, 1e308, -1e308, 1.0, -1e308], 3, 0.0),
+        ([1e308, -1e308, 0.0, 1e308, -1e308, 1.0, -1e308], 3, 0.5),
+        ([1e308, -1e308, 0.0, 1e308, -1e308, 1.0, -1e308], 3, math.inf),
+        ([0.3, -2.0, 5.0, 0.3, 1.0, 7.0, -4.0, 2.5], 4, math.inf),
+        (list(np.random.default_rng(17).standard_normal(40)), 15, 0.0),
+        (list(np.round(np.random.default_rng(18).standard_normal(40))), 15, 0.0),
+        (list(np.round(np.random.default_rng(19).standard_normal(40), 1)),
+         15, 0.25),
+    ])
+    @pytest.mark.parametrize("scheme", ["original", "equal-value"])
+    def test_fixed_cases(self, x, m, tie_epsilon, scheme):
+        for tau in (1, 2):
+            _check_against_oracle(np.array(x), EmbeddingConfig(
+                m=m, tau=tau, scheme=scheme, tie_epsilon=tie_epsilon))
 
 
 @st.composite
@@ -338,6 +375,27 @@ class TestReportBytes:
         assert digest == self.DIGESTS[(name, scheme)]
 
 
+class TestHistogramDigest:
+    # sha256 over (codes, code_counts, n_windows, n_tied_windows) of every
+    # paper-scale histogram below; frozen from the argsort encoder.
+    DIGEST = "d0c5ea40bb6b139b00c063938c1c734b8b5b90134d7495402bb0349bf807524b"
+
+    def test_paper_scale_histograms_are_frozen(self, logistic_series):
+        gaussian = generate(ModelSpec("gaussian", len(logistic_series),
+                                      params={"seed": 1}))
+        digest = hashlib.sha256()
+        for x, m, tau, scheme, eps, transform in itertools.product(
+                (logistic_series, np.round(gaussian, 1)), range(2, 8), (1, 2),
+                ("original", "equal-value"), (0.0, 0.05),
+                ("identity", "time-reverse", "negate")):
+            cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme, tie_epsilon=eps)
+            h = build_histogram(x, cfg, transform)
+            digest.update(h.codes.astype("<i8").tobytes())
+            digest.update(h.code_counts.astype("<i8").tobytes())
+            digest.update(f"{h.n_windows} {h.n_tied_windows};".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestForwardHistogramOnce:
     @pytest.fixture()
     def transforms(self, monkeypatch):
@@ -390,6 +448,10 @@ class TestSweep:
     def test_constant_series_all_zero(self):
         reports = sweep([1.0] * 100, range(2, 5), range(1, 3))
         assert all(r.value == 0.0 for r in reports)
+
+    def test_unknown_kind_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="'tir'"):
+            sweep([1.0, 2.0, 3.0], [2], [1], kinds=["TIR", "tir"])
 
     def test_cell_error_is_identified(self):
         with pytest.raises(SeriesTooShort, match="kind=TIR m=5 tau=2"):

@@ -47,6 +47,18 @@ class TestEmbeddingConfig:
         with pytest.raises(InvalidParams):
             Pattern((1, 2), scheme="x")
 
+    @pytest.mark.parametrize("eps", ["0.1", None, True, False, np.bool_(True),
+                                     1j, [0.1]])
+    def test_tie_epsilon_must_be_a_real_number(self, eps):
+        with pytest.raises(InvalidParams, match="tie_epsilon"):
+            EmbeddingConfig(m=3, tie_epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [0, 0.0, 0.1, np.float32(0.25), np.int64(1),
+                                     math.inf])
+    def test_tie_epsilon_kept_as_given(self, eps):
+        cfg = EmbeddingConfig(m=3, tie_epsilon=eps)
+        assert cfg.tie_epsilon is eps
+
     def test_m_bounded_by_code_width(self):
         assert EmbeddingConfig(m=15).m == 15
         with pytest.raises(ValueError, match=r"2\.\.15"):
