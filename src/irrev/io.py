@@ -15,12 +15,17 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
                      ParseError)
-from .measures import IrreversibilityReport, PairContribution, SAME_BIN
-from .ordinal import (EmbeddingConfig, Pattern, _trusted_pattern,
+from .measures import (_SAME_BIN_CODE, SAME_BIN, IrreversibilityReport,
+                       PairTable, _column)
+from .ordinal import (EmbeddingConfig, _code_digits, _label_code,
                       pattern_to_string)
 from .surrogates import SurrogateVerdict
 
@@ -142,56 +147,52 @@ def _durable_write(path: str, text: str) -> None:
 
 # -- JSON document codec -------------------------------------------------------
 
-def _pattern_parser(config: EmbeddingConfig, parsed: dict[str, Pattern]):
-    """Codec parser that builds one ``Pattern`` per string, kept in ``parsed``.
+def _parse_codes(texts, m: int, codes: dict[str, int]) -> None:
+    """Add the code of each codec string of ``texts`` to ``codes``.
 
-    Checks only that a string holds ``config.m`` integer labels in
-    ``1..m``; realisability is not checked, reports are trusted input.
+    Checks only that a string holds ``m`` integer labels in ``1..m``;
+    realisability is not checked, reports are trusted input. Each string not
+    yet in ``codes`` is parsed once, in the order of ``texts``, so a bad
+    string raises before any later one.
     """
-    m, scheme = config.m, config.scheme
+    for text in dict.fromkeys(texts):
+        if text in codes:
+            continue
+        try:
+            labels = tuple(map(int, text.split(",")))
+        except ValueError:
+            labels = ()
+        if len(labels) != m or min(labels) < 1 or max(labels) > m:
+            raise InvalidPattern(
+                f"pattern {text!r} does not have {m} labels in 1..{m}")
+        codes[text] = _label_code(labels, m)
 
-    def parse(text: str) -> Pattern:
-        pattern = parsed.get(text)
-        if pattern is None:
-            try:
-                labels = tuple(map(int, text.split(",")))
-            except ValueError:
-                labels = ()
-            if len(labels) != m or min(labels) < 1 or max(labels) > m:
-                raise InvalidPattern(
-                    f"pattern {text!r} does not have {m} labels in 1..{m}")
-            pattern = parsed[text] = _trusted_pattern(labels, scheme)
-        return pattern
 
-    return parse
+_PAIR_KEYS = ("pattern", "counterpart", "p_forward", "p_counterpart", "ys")
 
 
 def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
     """Rebuild a report; ``patterns`` shares parsed patterns between reports.
 
-    ``patterns`` maps ``(m, scheme)`` to the patterns parsed so far under
-    that configuration, by codec string.
+    ``patterns`` maps ``(m, scheme)`` to two memos of that configuration:
+    pattern codes by codec string, and the ``Pattern`` objects built so far
+    by code. The numbers keep the types JSON gave them.
     """
     config = EmbeddingConfig(**d["config"])
-    parsed = {} if patterns is None else patterns.setdefault(
-        (config.m, config.scheme), {})
-    pattern = _pattern_parser(config, parsed)
-    pairs = [
-        PairContribution(
-            pattern=pattern(p["pattern"]),
-            counterpart=(SAME_BIN if p["counterpart"] == SAME_BIN
-                         else pattern(p["counterpart"])),
-            p_forward=p["p_forward"],
-            p_counterpart=p["p_counterpart"],
-            ys=p["ys"],
-        )
-        for p in d["pairs"]
-    ]
+    codes, decoded = ({}, {}) if patterns is None else patterns.setdefault(
+        (config.m, config.scheme), ({}, {}))
+    pattern_texts, counterpart_texts, p_forward, p_counterpart, ys = (
+        list(map(itemgetter(key), d["pairs"])) for key in _PAIR_KEYS)
+    _parse_codes([text for pair in zip(pattern_texts, counterpart_texts)
+                  for text in pair if text != SAME_BIN], config.m, codes)
     return IrreversibilityReport(
         kind=d["kind"],
         config=config,
         value=d["value"],
-        pairs=pairs,
+        pairs=PairTable(
+            config.m, config.scheme, list(map(codes.__getitem__, pattern_texts)),
+            list(map(codes.get, counterpart_texts, repeat(_SAME_BIN_CODE))),
+            p_forward, p_counterpart, ys, decoded),
         n_observed_patterns=d["n_observed_patterns"],
         n_forbidden_counterparts=d["n_forbidden_counterparts"],
         n_windows=d["n_windows"],
@@ -237,44 +238,71 @@ def _splice(envelope: str, indent: str, key: str, items: list[str]) -> str:
                     f"\n{indent}],\n", tail))
 
 
-def _pairs_text(pairs, numbers: dict, patterns: dict) -> list[str]:
+class _PairTexts:
     """Each pair as ``json.dumps`` writes it inside a document.
 
-    ``numbers`` and ``patterns`` memoise the text of each distinct float
-    and label tuple across the document. A zero is formatted each time,
-    since ``0.0`` and ``-0.0`` share a key; values that are not floats go
-    through ``json.dumps`` itself.
+    A :class:`PairTable` is rendered from its columns, the label text of
+    each distinct code once per document. A plain list of pairs, which may
+    hold any values, is rendered one ``PairContribution`` at a time. The
+    text of each distinct float and label tuple is memoised across the
+    document; a zero is formatted each time, since ``0.0`` and ``-0.0``
+    share a key, and values that are not floats go through ``json.dumps``
+    itself.
     """
 
-    def number(value) -> str:
+    def __init__(self):
+        self._numbers, self._labels, self._codes = {}, {}, {}
+
+    def number(self, value) -> str:
         if isinstance(value, float):
-            text = numbers.get(value)
+            text = self._numbers.get(value)
             if text is None or not value:
-                text = numbers[value] = (float.__repr__(value)
-                                         if math.isfinite(value)
-                                         else json.dumps(value))
+                text = self._numbers[value] = (float.__repr__(value)
+                                               if math.isfinite(value)
+                                               else json.dumps(value))
             return text
         return json.dumps(value, sort_keys=True, indent=2).replace(
             "\n", _PAIR_VALUE_NEWLINE)
 
-    def pattern(value) -> str:
+    def pattern(self, value) -> str:
         if isinstance(value, str) and value == SAME_BIN:
             return _SAME_BIN_TEXT
-        text = patterns.get(value.labels)
+        text = self._labels.get(value.labels)
         if text is None:
-            text = patterns[value.labels] = encode_basestring_ascii(
+            text = self._labels[value.labels] = encode_basestring_ascii(
                 pattern_to_string(value))
         return text
 
-    return [
-        _PAIR % (pattern(p.counterpart), number(p.p_counterpart),
-                 number(p.p_forward), pattern(p.pattern), number(p.ys))
-        for p in pairs
-    ]
+    def _numbers_text(self, values) -> list[str]:
+        return list(map(self.number, _column(values)))
+
+    def _codes_text(self, m: int, codes: np.ndarray) -> list[str]:
+        texts = self._codes.setdefault(m, {_SAME_BIN_CODE: _SAME_BIN_TEXT})
+        codes = codes.tolist()
+        fresh = [code for code in dict.fromkeys(codes) if code not in texts]
+        label = '"' + ",".join(["%d"] * m) + '"'
+        texts.update(zip(fresh, [
+            label % tuple(row)
+            for row in _code_digits(np.array(fresh, dtype=np.int64), m).tolist()]))
+        return list(map(texts.__getitem__, codes))
+
+    def lines(self, pairs) -> list[str]:
+        if not isinstance(pairs, PairTable):
+            number, pattern = self.number, self.pattern
+            return [
+                _PAIR % (pattern(p.counterpart), number(p.p_counterpart),
+                         number(p.p_forward), pattern(p.pattern), number(p.ys))
+                for p in pairs
+            ]
+        return list(map(_PAIR.__mod__, zip(
+            self._codes_text(pairs.m, pairs.counterpart_codes),
+            self._numbers_text(pairs.p_counterpart),
+            self._numbers_text(pairs.p_forward),
+            self._codes_text(pairs.m, pairs.codes),
+            self._numbers_text(pairs.ys))))
 
 
-def _report_text(report: IrreversibilityReport, numbers: dict,
-                 patterns: dict) -> str:
+def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
     envelope = json.dumps({
         "kind": report.kind,
         "config": asdict(report.config),
@@ -286,7 +314,7 @@ def _report_text(report: IrreversibilityReport, numbers: dict,
     }, sort_keys=True, indent=2)
     envelope = _REPORT_INDENT + envelope.replace("\n", "\n" + _REPORT_INDENT)
     return _splice(envelope, _REPORT_INDENT + "  ", "pairs",
-                   _pairs_text(report.pairs, numbers, patterns))
+                   texts.lines(report.pairs))
 
 
 def write_report(doc: ReportDocument, path: str) -> None:
@@ -296,14 +324,14 @@ def write_report(doc: ReportDocument, path: str) -> None:
     plus a newline. Only the envelope goes through ``json``; the pairs of
     every report are rendered through one fixed template.
     """
-    numbers, patterns = {}, {}
+    texts = _PairTexts()
     envelope = json.dumps({
         "schema_version": doc.schema_version,
         "provenance": doc.provenance,
         "reports": [],
         "verdicts": [asdict(v) for v in doc.verdicts],
     }, sort_keys=True, indent=2) + "\n"
-    reports = [_report_text(r, numbers, patterns) for r in doc.reports]
+    reports = [_report_text(r, texts) for r in doc.reports]
     _durable_write(path, _splice(envelope, "  ", "reports", reports))
 
 

@@ -160,6 +160,14 @@ def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
     return codes[:, None] // _code_weights(m) % (m + 1)
 
 
+def _label_code(labels, m: int) -> int:
+    """Code of one label sequence whose labels lie in ``0..m``."""
+    code = 0
+    for label in labels:
+        code = code * (m + 1) + label
+    return code
+
+
 def _trusted_pattern(labels: tuple[int, ...], scheme: str) -> Pattern:
     """A ``Pattern`` from a tuple of ints and a checked scheme, as is.
 

@@ -111,6 +111,41 @@ class TestWriteSeries:
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def _special_reports():
+    """A computed tied report with SAME_BIN pairs, and a hand-built one
+    whose pairs hold NaN, +-inf, -0.0, ints, a bool and numpy floats beside
+    SAME_BIN and real counterparts."""
+    x = np.round(np.random.default_rng(5).standard_normal(400), 0)
+    tied = measure(x, EmbeddingConfig(m=3, scheme="original"), "TIR")
+    assert any(p.counterpart == SAME_BIN for p in tied.pairs)
+    special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0,
+               1, True, np.float64(0.25), np.float64(-0.0), 1.0]
+    pattern = Pattern((2, 1, 3), "original")
+    hand = dataclasses.replace(tied, value=-0.0, pairs=[
+        PairContribution(pattern, counterpart, a, b, c)
+        for counterpart in (SAME_BIN, Pattern((3, 1, 2), "original"))
+        for a, b, c in zip(special, special[3:] + special[:3],
+                           special[6:] + special[:6])])
+    return tied, hand
+
+
+_SPECIAL_VERDICT = SurrogateVerdict(float("nan"), [-0.0, np.float64(1.5)],
+                                    0.0, float("inf"), True, False)
+
+
+def _assert_same_reports(back, reports):
+    """``back == reports``, except that a NaN matches a NaN."""
+    assert len(back) == len(reports)
+    for b, r in zip(back, reports):
+        assert (dataclasses.replace(b, pairs=[])
+                == dataclasses.replace(r, pairs=[]))
+        assert len(b.pairs) == len(r.pairs)
+        for p, q in zip(b.pairs, r.pairs):
+            for f in dataclasses.fields(p):
+                u, v = getattr(p, f.name), getattr(q, f.name)
+                assert u == v or (u != u and v != v), (f.name, u, v)
+
+
 class TestReportDocument:
     def _document(self):
         rng = np.random.default_rng(2)
@@ -125,12 +160,31 @@ class TestReportDocument:
         )
 
     def test_round_trip_byte_identical(self, tmp_path):
-        doc = self._document()
+        x = np.round(np.random.default_rng(25).standard_normal(20000), 1)
+        tied_m7 = [measure(x, EmbeddingConfig(m=7), k) for k in ("TIR", "AIR")]
+        tied, hand = _special_reports()
+        special = ReportDocument(
+            provenance={"input": "special values"},
+            reports=[tied, hand, dataclasses.replace(hand, pairs=[])],
+            verdicts=[_SPECIAL_VERDICT])
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        write_report(doc, str(first))
-        write_report(read_report(str(first)), str(second))
-        assert first.read_bytes() == second.read_bytes()
+        for doc in (self._document(),
+                    ReportDocument(provenance={"m": 7}, reports=tied_m7),
+                    special):
+            write_report(doc, str(first))
+            back = read_report(str(first))
+            write_report(back, str(second))
+            assert first.read_bytes() == second.read_bytes()
+            if doc is special:
+                assert back.reports[0] == tied and tied == back.reports[0]
+                _assert_same_reports(back.reports, doc.reports)
+                _assert_same_reports(read_report(str(second)).reports,
+                                     doc.reports)
+            else:
+                assert back.reports == doc.reports
+                assert doc.reports == back.reports
+                assert read_report(str(second)).reports == back.reports
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -161,6 +215,18 @@ class TestReportDocument:
         pair[field] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidPattern, match="labels in 1..3"):
+            read_report(str(path))
+
+    def test_first_bad_string_in_document_order_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        write_report(self._document(), str(path))
+        doc = json.loads(path.read_text())
+        pairs = [p for p in doc["reports"][1]["pairs"]
+                 if p["counterpart"] != "same-bin"]
+        pairs[0]["counterpart"] = "1,2,4"
+        pairs[1]["pattern"] = "9,9,9"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidPattern, match="'1,2,4'"):
             read_report(str(path))
 
     def test_patterns_parsed_once_per_document(self, tmp_path):
@@ -403,19 +469,8 @@ class TestWriteReportMatchesJsonDumps:
                                              verdicts=verdicts))
 
     def test_special_values_and_structural_strings(self, tmp_path):
-        x = np.round(np.random.default_rng(5).standard_normal(400), 0)
-        tied = measure(x, EmbeddingConfig(m=3, scheme="original"), "TIR")
-        assert any(p.counterpart == SAME_BIN for p in tied.pairs)
-        special = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0,
-                   1, True, np.float64(0.25), np.float64(-0.0), 1.0]
-        pattern = Pattern((2, 1, 3))
-        hand = dataclasses.replace(tied, value=-0.0, pairs=[
-            PairContribution(pattern, counterpart, a, b, c)
-            for counterpart in (SAME_BIN, Pattern((3, 1, 2)))
-            for a, b, c in zip(special, special[3:] + special[:3],
-                               special[6:] + special[:6])])
-        verdict = SurrogateVerdict(float("nan"), [-0.0, np.float64(1.5)],
-                                   0.0, float("inf"), True, False)
+        tied, hand = _special_reports()
+        verdict = _SPECIAL_VERDICT
         provenance = {
             "input": 'a "quoted"\nname "pairs": [],',
             "nested": {"x": {"pairs": [], "reports": []}, "reports": []},

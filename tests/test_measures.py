@@ -23,9 +23,9 @@ from irrev import (
     time_reverse_tie_free,
     ys_divergence,
 )
-from irrev import measures
+from irrev import measures, ordinal
 from irrev.io import ReportDocument, write_report
-from irrev.measures import SAME_BIN
+from irrev.measures import SAME_BIN, PairContribution, PairTable
 
 from conftest import random_series_with_ties
 from oracle import (_ordinal_labels, _window_tied,
@@ -346,6 +346,129 @@ class TestReportAgainstReference:
         assert h.code_counts.tolist() == [h.counts[p] for p in h.patterns]
 
 
+def _tied_series(n=20000, seed=21):
+    return np.round(np.random.default_rng(seed).standard_normal(n), 1)
+
+
+class TestObjectsBuiltOnRead:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Counts of ``_decode`` calls and of ``PairContribution``s made."""
+        calls = Counter()
+        decode, init = ordinal._decode, PairContribution.__init__
+
+        def counting_decode(*args):
+            calls["decode"] += 1
+            return decode(*args)
+
+        def counting_init(self, *args, **kwargs):
+            calls["pairs"] += 1
+            init(self, *args, **kwargs)
+
+        for module in (ordinal, measures):
+            monkeypatch.setattr(module, "_decode", counting_decode)
+        monkeypatch.setattr(PairContribution, "__init__", counting_init)
+        return calls
+
+    def test_measure_and_sweep_build_no_objects(self, built):
+        x = _tied_series()
+        cfg = EmbeddingConfig(m=7)
+        reports = [measure(x, cfg, k) for k in ("TIR", "AIR")]
+        reports += sweep(x, [7], [1])
+        h = build_histogram(x, cfg)
+        assert len(h.counts) == len(h.codes) > 1000
+        assert all(len(r.pairs) > 1000 for r in reports)
+        assert built == {}
+        # Reading them builds them, once.
+        assert reports[0].pairs[0].pattern.m == 7
+        assert list(reports[0].pairs) == reports[0].pairs[:]
+        assert built == {"decode": 1, "pairs": len(reports[0].pairs)}
+        assert h.patterns[0] in h.counts
+        assert built["decode"] == 2
+
+
+class TestPairTableAndCounts:
+    def _report_and_reference(self):
+        x = np.round(np.random.default_rng(22).standard_normal(3000))
+        cfg = EmbeddingConfig(m=4)
+        return measure(x, cfg, "AIR"), reference_measure(x, cfg, "AIR").pairs
+
+    def test_sequence_protocol(self):
+        report, ref = self._report_and_reference()
+        pairs = report.pairs
+        assert isinstance(pairs, PairTable) and isinstance(ref, list)
+        assert len(pairs) == len(ref) > 10
+        assert pairs[0] == ref[0] and pairs[-1] == ref[-1]
+        assert pairs[3:7] == ref[3:7] and pairs[::-2] == ref[::-2]
+        assert list(pairs) == ref and [p for p in pairs] == ref
+        assert pairs.index(ref[5]) == 5 and ref[2] in pairs
+        assert any(p.counterpart == SAME_BIN for p in pairs)
+        assert any(p.counterpart != SAME_BIN for p in pairs)
+        with pytest.raises(IndexError):
+            pairs[len(ref)]
+
+    def test_equality_with_lists_and_tables(self):
+        report, ref = self._report_and_reference()
+        pairs = report.pairs
+        assert pairs == ref and ref == pairs
+        assert not pairs != ref and not ref != pairs
+        assert pairs != ref[:-1] and ref[:-1] != pairs
+        assert pairs != tuple(ref)
+
+        def table(**columns):
+            base = dict(codes=pairs.codes,
+                        counterpart_codes=pairs.counterpart_codes,
+                        p_forward=pairs.p_forward,
+                        p_counterpart=pairs.p_counterpart, ys=pairs.ys)
+            base.update(columns)
+            return PairTable(pairs.m, pairs.scheme, **base)
+
+        assert table() == pairs and pairs == table()
+        assert table(p_forward=pairs.p_forward.tolist()) == pairs
+        ys = pairs.ys.copy()
+        ys[3] = np.nextafter(ys[3], 1.0)
+        assert table(ys=ys) != pairs and pairs != table(ys=ys)
+        assert table(ys=ys.tolist()) != pairs
+        paired = np.flatnonzero(pairs.counterpart_codes >= 0)[0]
+        counterparts = pairs.counterpart_codes.copy()
+        counterparts[paired] = -1
+        assert table(counterpart_codes=counterparts) != pairs
+        assert table(counterpart_codes=counterparts) != ref
+        other = PairTable(pairs.m, "original", pairs.codes,
+                          pairs.counterpart_codes, pairs.p_forward,
+                          pairs.p_counterpart, pairs.ys)
+        assert other != pairs and other != ref
+        assert PairTable(5, "original", [], [], [], [], []) == \
+            PairTable(3, "equal-value", [], [], [], [], []) == []
+
+    def test_counts_mapping(self):
+        x = _tied_series(3000, 23)
+        h = build_histogram(x, EmbeddingConfig(m=3))
+        expected = dict(zip(h.patterns, h.code_counts.tolist()))
+        assert h.counts == expected and expected == h.counts
+        assert len(h.counts) == len(expected)
+        p = h.patterns[-1]
+        assert h.counts[p] == expected[p] and p in h.counts
+        assert h.probability(p) == expected[p] / h.n_windows
+        tied = Pattern((1, 1, 1))
+        assert tied in h.counts and h.probability(tied) > 0
+        foreign = [Pattern((1, 1, 1), "original"), Pattern((1, 1, 1, 1)),
+                   Pattern((1, 1)),
+                   Pattern((0, 5, 1)),  # same code as (1, 1, 1)
+                   (1, 1, 1), "1,1,1"]
+        for q in foreign:
+            assert q not in h.counts and h.counts.get(q, 0) == 0
+            with pytest.raises(KeyError):
+                h.counts[q]
+        for q in foreign[:4]:
+            assert h.probability(q) == 0
+        assert h.probabilities() == {q: c / h.n_windows
+                                     for q, c in expected.items()}
+        assert h == build_histogram(list(x), EmbeddingConfig(m=3))
+        assert h != build_histogram(x[1:], EmbeddingConfig(m=3))
+        assert h != build_histogram(x, EmbeddingConfig(m=3), "negate")
+
+
 class TestReportBytes:
     # sha256 of the report document of one TIR and one AIR report at m=5,
     # tau=2; frozen from the dict-based decomposition.
@@ -408,6 +531,23 @@ class TestForwardHistogramOnce:
 
         monkeypatch.setattr(measures, "build_histogram", counting)
         return seen
+
+    def test_measure_converts_a_list_once(self, monkeypatch):
+        given = []
+        real = measures.build_histogram
+
+        def recording(series, config, transform="identity"):
+            given.append(series)
+            return real(series, config, transform)
+
+        monkeypatch.setattr(measures, "build_histogram", recording)
+        x = [float(v) for v in np.round(np.random.default_rng(24)
+                                        .standard_normal(300))]
+        measure(x, EmbeddingConfig(m=4), "TIR")
+        sweep(x, [3], [1], kinds=["TIR"])
+        assert len(given) == 4
+        assert all(isinstance(s, np.ndarray) for s in given)
+        assert given[0] is given[1] and given[2] is given[3]
 
     @pytest.mark.parametrize("kind, scheme, tied, expected", [
         ("TIR", "equal-value", False, ["identity"]),
