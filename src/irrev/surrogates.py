@@ -6,10 +6,17 @@ iterative refinement. Each ensemble member is seeded from a splitmix64-style
 mix of (seed, index), so ensembles are reproducible and independent of
 generation order or concurrency.
 
-``ensemble_values`` is the single ensemble loop: it draws members 0..n-1 one
-at a time, scores each through :func:`irrev.measures.sweep` (one forward
-histogram per configuration, shared by every kind) and drops it before
-drawing the next, so memory does not grow with the ensemble size.
+``iaaft`` is :func:`prepare_iaaft` (validation, target spectrum and sorted
+values, once per series) followed by :func:`draw_iaaft` (one member, with
+its buffers reused in every iteration).
+
+``ensemble_values`` is the single ensemble loop. It prepares the series once
+and draws members 0..n-1 in rounds of one per usable CPU: the calling thread
+draws the first member of each round and a pool of threads the rest. It then
+scores the round in member order on the calling thread through
+:func:`irrev.measures.sweep` (one forward histogram per configuration,
+shared by every kind) and drops it before drawing the next round. So memory
+is bounded by the CPU count, not by the ensemble size.
 ``significance_test`` and the ``repro-models`` command both run on it and
 both take their band from :func:`percentile_band`.
 """
@@ -17,6 +24,9 @@ both take their band from :func:`percentile_band`.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -88,18 +98,97 @@ def _rel_spectrum_error(mag: np.ndarray, target_mag: np.ndarray) -> float:
     )
 
 
-def _ranks(y: np.ndarray) -> np.ndarray:
+def _ranks(y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Exactly ``np.argsort(y, kind="stable")``, mostly at default-sort cost.
 
     With distinct keys the sorting permutation is unique, so the default
     sort gives the stable one; one gather-and-compare detects ties (signed
     zeros included, as ``-0.0 == 0.0``) and only then is the stable sort run.
+    The gather goes into ``scratch`` when given.
     """
     order = np.argsort(y)
-    ys = y[order]
+    ys = np.take(y, order, out=scratch)
     if np.any(ys[1:] == ys[:-1]):
         return np.argsort(y, kind="stable")
     return order
+
+
+@dataclass(frozen=True)
+class IaaftSeries:
+    """What every IAAFT member of one series shares: computed once."""
+    x: np.ndarray
+    target_dc: complex
+    target_mag: np.ndarray
+    sorted_x: np.ndarray
+
+
+def prepare_iaaft(series) -> IaaftSeries:
+    """Validate ``series`` and compute its spectrum and sorted values."""
+    x = _validated_series(series)
+    n = len(x)
+    if n < 8:
+        raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
+    if np.all(x == x[0]):
+        raise DegenerateSeries("constant series has no non-DC spectral content")
+    target = np.fft.rfft(x)
+    return IaaftSeries(x=x, target_dc=target[0], target_mag=np.abs(target),
+                       sorted_x=np.sort(x))
+
+
+def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
+    """Member ``index`` of the ensemble of ``prepared``: see :func:`iaaft`.
+
+    Each call allocates its own buffers and reuses them in every iteration,
+    so concurrent calls are safe and give the bytes of sequential ones.
+    """
+    if not isinstance(index, Integral) or not 0 <= index <= _MASK64 - 1:
+        # mix_seed uses index + 1, so larger indices would alias members.
+        raise InvalidParams(
+            f"index must be an integer in 0..2**64 - 2, got {index!r}")
+    x, target_mag, sorted_x = prepared.x, prepared.target_mag, prepared.sorted_x
+    n = len(x)
+    rng = np.random.default_rng(mix_seed(params.seed, index))
+    cur = x[rng.permutation(n)]
+    f = np.empty(len(target_mag), dtype=complex)
+    mag = np.empty(len(target_mag))
+    nonzero = np.empty(len(target_mag), dtype=bool)
+    y = np.empty(n)
+
+    prev_order = None
+    initial_err = math.nan
+    converged = False
+    iterations = 0
+    for iterations in range(1, params.max_iterations + 1):
+        np.fft.rfft(cur, out=f)
+        np.abs(f, out=mag)
+        if iterations == 1:
+            initial_err = _rel_spectrum_error(mag, target_mag)
+        # f becomes the phase: f / |f|, and 1 where |f| is zero.
+        np.greater(mag, 0, out=nonzero)
+        np.divide(f, mag, out=f, where=nonzero)
+        if not nonzero.all():
+            f[~nonzero] = 1.0
+        np.multiply(f, target_mag, out=f)
+        f[0] = prepared.target_dc
+        np.fft.irfft(f, n, out=y)
+
+        # The tie check gathers into cur, which the scatter then overwrites.
+        order = _ranks(y, cur)
+        cur[order] = sorted_x
+        if prev_order is not None and np.array_equal(order, prev_order):
+            converged = True
+            break
+        prev_order = order
+
+    np.fft.rfft(cur, out=f)
+    final_err = _rel_spectrum_error(np.abs(f, out=mag), target_mag)
+    diagnostics = IaaftDiagnostics(
+        iterations_used=iterations,
+        spectrum_rms_error=final_err,
+        initial_spectrum_rms_error=initial_err,
+        converged=converged,
+    )
+    return cur, diagnostics
 
 
 def iaaft(series, params: IaaftParams, index: int = 0):
@@ -114,51 +203,9 @@ def iaaft(series, params: IaaftParams, index: int = 0):
     a stable sort.
     Stops when the rank permutation repeats between consecutive iterations
     or ``max_iterations`` is reached; returns the rank-ordered series.
+    ``index`` must be an integer in 0..2**64 - 2.
     """
-    x = _validated_series(series)
-    n = len(x)
-    if n < 8:
-        raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
-    if np.all(x == x[0]):
-        raise DegenerateSeries("constant series has no non-DC spectral content")
-
-    target = np.fft.rfft(x)
-    target_mag = np.abs(target)
-    sorted_x = np.sort(x)
-
-    rng = np.random.default_rng(mix_seed(params.seed, index))
-    cur = x[rng.permutation(n)]
-
-    prev_order = None
-    initial_err = math.nan
-    converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iterations + 1):
-        f = np.fft.rfft(cur)
-        mag = np.abs(f)
-        if iterations == 1:
-            initial_err = _rel_spectrum_error(mag, target_mag)
-        phase = np.where(mag > 0, f / np.where(mag > 0, mag, 1.0), 1.0)
-        f_new = target_mag * phase
-        f_new[0] = target[0]
-        y = np.fft.irfft(f_new, n)
-
-        order = _ranks(y)
-        cur = np.empty_like(cur)
-        cur[order] = sorted_x
-        if prev_order is not None and np.array_equal(order, prev_order):
-            converged = True
-            break
-        prev_order = order
-
-    final_err = _rel_spectrum_error(np.abs(np.fft.rfft(cur)), target_mag)
-    diagnostics = IaaftDiagnostics(
-        iterations_used=iterations,
-        spectrum_rms_error=final_err,
-        initial_spectrum_rms_error=initial_err,
-        converged=converged,
-    )
-    return cur, diagnostics
+    return draw_iaaft(prepare_iaaft(series), params, index)
 
 
 def percentile_nearest_rank(values, q: float) -> float:
@@ -178,16 +225,34 @@ def percentile_band(values) -> tuple[float, float]:
             percentile_nearest_rank(values, 97.5))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def ensemble_values(series, params: IaaftParams, configs, kinds):
     """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``."""
+    prepared = prepare_iaaft(series)
     values = {(kind, c): [] for c in configs for kind in kinds}
-    for i in range(params.n_surrogates):
-        surrogate, _ = iaaft(series, params, i)
-        for c in configs:
-            reports = sweep(surrogate, [c.m], [c.tau], c.scheme, kinds,
-                            c.tie_epsilon)
-            for kind, rep in zip(kinds, reports):
-                values[(kind, c)].append(rep.value)
+    n = params.n_surrogates
+    width = min(_usable_cpus(), n)
+    with (ThreadPoolExecutor(width - 1, thread_name_prefix="irrev-iaaft")
+          if width > 1 else nullcontext()) as pool:
+        for start in range(0, n, width):
+            rest = [pool.submit(draw_iaaft, prepared, params, i)
+                    for i in range(start + 1, min(start + width, n))]
+            members = [draw_iaaft(prepared, params, start)[0]]
+            members += [future.result()[0] for future in rest]
+            for surrogate in members:
+                for c in configs:
+                    reports = sweep(surrogate, [c.m], [c.tau], c.scheme, kinds,
+                                    c.tie_epsilon)
+                    for kind, rep in zip(kinds, reports):
+                        values[(kind, c)].append(rep.value)
+            del rest, members  # drop the round before drawing the next
     return values
 
 

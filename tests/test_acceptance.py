@@ -2,10 +2,10 @@
 PASS/FAIL line (visible with ``pytest -s tests/test_acceptance.py``).
 
 Criterion 6 runs three 100-member IAAFT ensembles on 100800-sample series
-through the library's own ensemble loop (``ensemble_values``, one member at
-a time) and band (``percentile_band``). It dominates the runtime (about
-four minutes on two cores); iterations are capped at 100, where the
-relative spectrum error is already ~1e-4.
+through the library's own ensemble loop (``ensemble_values``, one member per
+usable CPU at a time) and band (``percentile_band``). It dominates the
+runtime (about three minutes on two cores); iterations are capped at 100,
+where the relative spectrum error is already ~1e-4.
 The paper-scale 500-surrogate run stays behind the CLI flag
 ``irrev repro-models --n-surrogates 500``.
 """

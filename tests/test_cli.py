@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import weakref
 
 import pytest
@@ -219,32 +220,44 @@ class TestReproModels:
 
     def test_streams_members_and_shares_histograms(self, capsys, tmp_path,
                                                     monkeypatch):
-        members, most_alive, builds = [], [0], [0]
-        real_iaaft, real_build = surrogates.iaaft, measures.build_histogram
+        real_draw, real_build = surrogates.draw_iaaft, measures.build_histogram
+        for cpus in (1, 2, 3):
+            members, most_alive, most_from_earlier_rounds, builds = (
+                [], [0], [0], [])
 
-        def tracked_iaaft(*args, **kwargs):
-            alive = sum(ref() is not None for ref in members)
-            most_alive[0] = max(most_alive[0], alive)
-            result = real_iaaft(*args, **kwargs)
-            members.append(weakref.ref(result[0]))
-            return result
+            def tracked_draw(prepared, params, index):
+                round_start = index - index % cpus
+                alive = [i for i, ref in members if ref() is not None]
+                most_alive[0] = max(most_alive[0], len(alive))
+                most_from_earlier_rounds[0] = max(
+                    most_from_earlier_rounds[0],
+                    sum(i < round_start for i in alive))
+                result = real_draw(prepared, params, index)
+                members.append((index, weakref.ref(result[0])))
+                return result
 
-        def counted_build(*args, **kwargs):
-            builds[0] += 1
-            return real_build(*args, **kwargs)
+            def counted_build(*args, **kwargs):
+                builds.append(threading.current_thread())
+                return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(surrogates, "iaaft", tracked_iaaft)
-        monkeypatch.setattr(measures, "build_histogram", counted_build)
-        code, _, _ = run(capsys, "repro-models", "--out-dir",
-                         str(tmp_path / "repro"), "--seed", "3",
-                         "--n-surrogates", "5", "--m-max", "3",
-                         "--n", "2048")
-        assert code == 0
-        assert len(members) == 3 * 5
-        # Only the member just scored may still be alive at the next draw.
-        assert most_alive[0] <= 1
-        # One forward histogram per (series, member or original, m).
-        assert builds[0] == 3 * (5 + 1) * 2
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            monkeypatch.setattr(surrogates, "draw_iaaft", tracked_draw)
+            monkeypatch.setattr(measures, "build_histogram", counted_build)
+            code, _, _ = run(capsys, "repro-models", "--out-dir",
+                             str(tmp_path / f"repro{cpus}"), "--seed", "3",
+                             "--n-surrogates", "5", "--m-max", "3",
+                             "--n", "2048")
+            assert code == 0
+            assert len(members) == 3 * 5
+            # Only the round being drawn and the member just scored may be
+            # alive: one member per CPU in flight, whatever --n-surrogates.
+            assert most_alive[0] <= cpus
+            assert most_from_earlier_rounds[0] <= 1
+            # One forward histogram per (series, member or original, m), all
+            # built on the calling thread.
+            assert len(builds) == 3 * (5 + 1) * 2
+            assert set(builds) == {threading.current_thread()}
 
 
 class TestUsageAndEnv:

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +22,7 @@ from irrev import (
     percentile_nearest_rank,
     significance_test,
 )
+from irrev import surrogates
 from irrev.surrogates import _ranks, ensemble_values, mix_seed
 
 
@@ -116,6 +119,20 @@ class TestIaaft:
         data = np.ascontiguousarray(surrogate, dtype="<f8").tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, -1, 2**64 - 1, 2**64 + 1])
+    def test_index_outside_the_member_range_rejected(self, index):
+        # mix_seed uses index + 1: 1.7 and 2**64 + 1 would both alias member 1.
+        x = np.random.default_rng(36).standard_normal(64)
+        with pytest.raises(InvalidParams, match="index"):
+            iaaft(x, IaaftParams(seed=1), index)
+
+    def test_largest_index_and_numpy_integers_accepted(self):
+        x = np.random.default_rng(36).standard_normal(64)
+        params = IaaftParams(seed=1, max_iterations=3)
+        assert len(iaaft(x, params, 2**64 - 2)[0]) == 64
+        a, _ = iaaft(x, params, np.int64(2))
+        assert np.array_equal(a, iaaft(x, params, 2)[0])
+
     def test_mix_seed_is_stable(self):
         # Frozen values: the ensemble stream must never silently change.
         assert mix_seed(0, 0) == 16294208416658607535
@@ -211,6 +228,63 @@ class TestEnsembleValues:
                 measure(iaaft(x, params, i)[0], config, kind).value
                 for i in range(params.n_surrogates)
             ]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, None])
+    def test_rounds_of_any_width_match_members(self, cpus, monkeypatch):
+        # 4 members in rounds of 3 leave an uneven last round; None removes
+        # the affinity call, so the width falls back to os.cpu_count().
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+        x = np.round(np.random.default_rng(34).standard_normal(512), 1)
+        params = IaaftParams(max_iterations=50, seed=9, n_surrogates=4)
+        config = EmbeddingConfig(m=3)
+        values = ensemble_values(x, params, [config], ("TIR", "AIR"))
+        for kind in ("TIR", "AIR"):
+            assert values[(kind, config)] == [
+                measure(iaaft(x, params, i)[0], config, kind).value
+                for i in range(params.n_surrogates)
+            ]
+
+    def test_prepares_once_and_never_calls_iaaft(self, monkeypatch):
+        # perfbench ties hooked iaaft calls to members in call order, so the
+        # threaded loop must make none; the series is prepared only once.
+        prepares = []
+        real_prepare = surrogates.prepare_iaaft
+
+        def counted_prepare(series):
+            prepares.append(series)
+            return real_prepare(series)
+
+        def no_iaaft(*args, **kwargs):
+            raise AssertionError("ensemble_values called iaaft")
+
+        monkeypatch.setattr(surrogates, "prepare_iaaft", counted_prepare)
+        monkeypatch.setattr(surrogates, "iaaft", no_iaaft)
+        x = np.random.default_rng(37).standard_normal(256)
+        params = IaaftParams(max_iterations=5, seed=9, n_surrogates=5)
+        values = ensemble_values(x, params, [EmbeddingConfig(m=3)], ("TIR",))
+        assert len(prepares) == 1
+        assert len(values[("TIR", EmbeddingConfig(m=3))]) == 5
+
+    def test_failed_draw_propagates_and_leaves_no_threads(self, monkeypatch):
+        real_draw = surrogates.draw_iaaft
+
+        def failing_draw(prepared, params, index):
+            if index == 1:
+                raise RuntimeError("draw 1 failed")
+            return real_draw(prepared, params, index)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(surrogates, "draw_iaaft", failing_draw)
+        threads = threading.active_count()
+        x = np.random.default_rng(35).standard_normal(256)
+        params = IaaftParams(max_iterations=5, seed=9, n_surrogates=4)
+        with pytest.raises(RuntimeError, match="draw 1 failed"):
+            ensemble_values(x, params, [EmbeddingConfig(m=3)], ("TIR",))
+        assert threading.active_count() == threads
 
 
 class TestSignificance:
