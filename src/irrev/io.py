@@ -15,18 +15,13 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
-                     ParseError)
-from .measures import (_SAME_BIN_CODE, SAME_BIN, IrreversibilityReport,
-                       PairTable, _column)
-from .ordinal import (EmbeddingConfig, _code_digits, _label_code,
-                      pattern_to_string)
+from .errors import EmptyFile, InvalidParams, NonFiniteSample, ParseError
+from .measures import _SAME_BIN_CODE, SAME_BIN, IrreversibilityReport, PairTable
+from .ordinal import EmbeddingConfig, _code_digits, _pattern_code
 from .surrogates import SurrogateVerdict
 
 SCHEMA_VERSION = "1"
@@ -156,42 +151,39 @@ def _parse_codes(texts, m: int, codes: dict[str, int]) -> None:
     string raises before any later one.
     """
     for text in dict.fromkeys(texts):
-        if text in codes:
-            continue
-        try:
-            labels = tuple(map(int, text.split(",")))
-        except ValueError:
-            labels = ()
-        if len(labels) != m or min(labels) < 1 or max(labels) > m:
-            raise InvalidPattern(
-                f"pattern {text!r} does not have {m} labels in 1..{m}")
-        codes[text] = _label_code(labels, m)
+        if text not in codes:
+            try:
+                labels = tuple(map(int, text.split(",")))
+            except ValueError:
+                labels = ()
+            codes[text] = _pattern_code(labels, m, text)
 
 
 _PAIR_KEYS = ("pattern", "counterpart", "p_forward", "p_counterpart", "ys")
 
 
-def report_from_dict(d: dict, patterns=None) -> IrreversibilityReport:
+def report_from_dict(d: dict, patterns: dict) -> IrreversibilityReport:
     """Rebuild a report; ``patterns`` shares parsed patterns between reports.
 
     ``patterns`` maps ``(m, scheme)`` to two memos of that configuration:
-    pattern codes by codec string, and the ``Pattern`` objects built so far
-    by code. The numbers keep the types JSON gave them.
+    pattern codes by codec string (``SAME_BIN`` included), and the
+    ``Pattern`` objects built so far by code. The pair values are stored as
+    float64.
     """
     config = EmbeddingConfig(**d["config"])
-    codes, decoded = ({}, {}) if patterns is None else patterns.setdefault(
-        (config.m, config.scheme), ({}, {}))
+    codes, decoded = patterns.setdefault((config.m, config.scheme), (
+        {SAME_BIN: _SAME_BIN_CODE}, {}))
     pattern_texts, counterpart_texts, p_forward, p_counterpart, ys = (
         list(map(itemgetter(key), d["pairs"])) for key in _PAIR_KEYS)
     _parse_codes([text for pair in zip(pattern_texts, counterpart_texts)
-                  for text in pair if text != SAME_BIN], config.m, codes)
+                  for text in pair], config.m, codes)
     return IrreversibilityReport(
         kind=d["kind"],
         config=config,
         value=d["value"],
         pairs=PairTable(
             config.m, config.scheme, list(map(codes.__getitem__, pattern_texts)),
-            list(map(codes.get, counterpart_texts, repeat(_SAME_BIN_CODE))),
+            list(map(codes.__getitem__, counterpart_texts)),
             p_forward, p_counterpart, ys, decoded),
         n_observed_patterns=d["n_observed_patterns"],
         n_forbidden_counterparts=d["n_forbidden_counterparts"],
@@ -224,8 +216,7 @@ _PAIR = (
     '          "ys": %s\n'
     "        }"
 )
-_PAIR_VALUE_NEWLINE = "\n" + " " * 10
-_SAME_BIN_TEXT = encode_basestring_ascii(SAME_BIN)
+_SAME_BIN_TEXT = json.dumps(SAME_BIN)
 
 
 def _splice(envelope: str, indent: str, key: str, items: list[str]) -> str:
@@ -239,42 +230,24 @@ def _splice(envelope: str, indent: str, key: str, items: list[str]) -> str:
 
 
 class _PairTexts:
-    """Each pair as ``json.dumps`` writes it inside a document.
+    """Each pair of a :class:`PairTable` as ``json.dumps`` writes it.
 
-    A :class:`PairTable` is rendered from its columns, the label text of
-    each distinct code once per document. A plain list of pairs, which may
-    hold any values, is rendered one ``PairContribution`` at a time. The
-    text of each distinct float and label tuple is memoised across the
-    document; a zero is formatted each time, since ``0.0`` and ``-0.0``
-    share a key, and values that are not floats go through ``json.dumps``
-    itself.
+    The pairs are rendered from the table's columns: the label text of each
+    distinct code once per document, and the text of each distinct float
+    memoised across the document. A zero is formatted each time, since
+    ``0.0`` and ``-0.0`` share a key.
     """
 
     def __init__(self):
-        self._numbers, self._labels, self._codes = {}, {}, {}
+        self._numbers, self._codes = {}, {}
 
-    def number(self, value) -> str:
-        if isinstance(value, float):
-            text = self._numbers.get(value)
-            if text is None or not value:
-                text = self._numbers[value] = (float.__repr__(value)
-                                               if math.isfinite(value)
-                                               else json.dumps(value))
-            return text
-        return json.dumps(value, sort_keys=True, indent=2).replace(
-            "\n", _PAIR_VALUE_NEWLINE)
-
-    def pattern(self, value) -> str:
-        if isinstance(value, str) and value == SAME_BIN:
-            return _SAME_BIN_TEXT
-        text = self._labels.get(value.labels)
-        if text is None:
-            text = self._labels[value.labels] = encode_basestring_ascii(
-                pattern_to_string(value))
+    def number(self, value: float) -> str:
+        text = self._numbers.get(value)
+        if text is None or not value:
+            text = self._numbers[value] = (float.__repr__(value)
+                                           if math.isfinite(value)
+                                           else json.dumps(value))
         return text
-
-    def _numbers_text(self, values) -> list[str]:
-        return list(map(self.number, _column(values)))
 
     def _codes_text(self, m: int, codes: np.ndarray) -> list[str]:
         texts = self._codes.setdefault(m, {_SAME_BIN_CODE: _SAME_BIN_TEXT})
@@ -286,20 +259,13 @@ class _PairTexts:
             for row in _code_digits(np.array(fresh, dtype=np.int64), m).tolist()]))
         return list(map(texts.__getitem__, codes))
 
-    def lines(self, pairs) -> list[str]:
-        if not isinstance(pairs, PairTable):
-            number, pattern = self.number, self.pattern
-            return [
-                _PAIR % (pattern(p.counterpart), number(p.p_counterpart),
-                         number(p.p_forward), pattern(p.pattern), number(p.ys))
-                for p in pairs
-            ]
+    def lines(self, pairs: PairTable) -> list[str]:
         return list(map(_PAIR.__mod__, zip(
             self._codes_text(pairs.m, pairs.counterpart_codes),
-            self._numbers_text(pairs.p_counterpart),
-            self._numbers_text(pairs.p_forward),
+            map(self.number, pairs.p_counterpart.tolist()),
+            map(self.number, pairs.p_forward.tolist()),
             self._codes_text(pairs.m, pairs.codes),
-            self._numbers_text(pairs.ys))))
+            map(self.number, pairs.ys.tolist()))))
 
 
 def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
@@ -340,7 +306,8 @@ def read_report(path: str) -> ReportDocument:
 
     Each distinct pattern string is parsed once per document and
     configuration, and must hold ``m`` integer labels in ``1..m``, else
-    :class:`InvalidPattern` is raised. Reports are otherwise trusted input:
+    :class:`InvalidPattern` is raised; a pair value that is not a number
+    raises :class:`InvalidParams`. Reports are otherwise trusted input:
     neither the realisability of a pattern nor the numbers are re-checked.
     """
     with open(path, "r", encoding="utf-8") as fh:

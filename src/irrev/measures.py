@@ -8,8 +8,8 @@ the distribution obtained after a window transform:
   unnecessary because ordinal patterns are shift-invariant.
 
 The probabilistic difference per pattern is the subtraction-based Ys
-divergence, which stays well behaved when the counterpart pattern is
-forbidden (zero probability). The measure value is
+divergence (:func:`ys_divergence`, on floats or whole columns), which stays
+well behaved when the counterpart pattern is forbidden. The measure value is
 
     value = 1/2 * sum over patterns of Ys(H(pi), G(pi))
 
@@ -26,12 +26,10 @@ scheme, re-extract G from the transformed windows and pair each bin with
 itself. H and G are aligned on the union of their codes, and the pair
 columns are computed on arrays.
 
-Histograms and report pairs stay integer-code columns.
+Histograms and the pairs of every report, hand-built ones too, stay
+integer-code columns (a :class:`PairTable`, with float64 values).
 :class:`~irrev.ordinal.Pattern` and :class:`PairContribution` objects are
-built from the codes only when a caller reads ``PatternHistogram.counts``,
-``PatternHistogram.patterns`` or the elements of
-``IrreversibilityReport.pairs``; no computation of a value, and no report
-written, needs them, and the report bytes are those of the objects.
+built only when a caller reads them; no value or written report needs them.
 
 Counts are exact integers; the value is accumulated in rational arithmetic,
 one fraction per distinct denominator ``ci + cj``, and converted to float
@@ -41,13 +39,15 @@ once, so invariance identities (affine, reversal, negation) hold exactly.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, NonFiniteSample, SeriesTooShort
+from .errors import (DomainError, InvalidParams, InvalidPattern,
+                     NonFiniteSample, SeriesTooShort)
 from .ordinal import (
     SCHEME_EQUAL_VALUE,
     EmbeddingConfig,
@@ -55,7 +55,7 @@ from .ordinal import (
     _complemented_codes,
     _decode,
     _encode,
-    _label_code,
+    _pattern_code,
     _reversed_codes,
 )
 
@@ -98,13 +98,10 @@ class _CodeCounts(Mapping):
         return iter(self.patterns)
 
     def __getitem__(self, pattern: Pattern) -> int:
-        m = self._config.m
-        if (isinstance(pattern, Pattern) and pattern.scheme == self._config.scheme
-                and len(pattern.labels) == m
-                and all(1 <= label <= m for label in pattern.labels)):
-            count = self._count_of.get(_label_code(pattern.labels, m))
-            if count is not None:
-                return count
+        config = self._config
+        if isinstance(pattern, Pattern) and pattern.scheme == config.scheme:
+            with suppress(InvalidPattern, KeyError):
+                return self._count_of[_pattern_code(pattern.labels, config.m, pattern)]
         raise KeyError(pattern)
 
     def __repr__(self) -> str:
@@ -167,21 +164,30 @@ class PairContribution:
 _SAME_BIN_CODE = -1  # the counterpart code of a SAME_BIN pair
 
 
-def _column(values) -> list:
-    return values.tolist() if isinstance(values, np.ndarray) else values
+def _value_column(name: str, values, n: int) -> np.ndarray:
+    """``n`` bools, ints or floats as float64, else :class:`InvalidParams`."""
+    try:
+        column = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        column = np.asarray(None)
+    if column.dtype.kind not in "biuf" or column.shape != (n,):
+        raise InvalidParams(
+            f"{name} must be a 1-D column of {n} bools, ints or floats")
+    return column.astype(np.float64, copy=False)
 
 
 class PairTable(Sequence):
     """The pairs of a report as columns, read as ``PairContribution``s.
 
     ``codes`` and ``counterpart_codes`` are int64 pattern codes (-1 for
-    ``SAME_BIN``); ``p_forward``, ``p_counterpart`` and ``ys`` are float
-    arrays, or lists of the values as a document holds them. The
-    ``PairContribution`` list is built on first element access or
-    iteration, its patterns taken from and added to ``decoded`` (code ->
-    ``Pattern``), which the tables of one document share. Two tables are
-    equal when their columns are; a table and a list when the built pairs
-    are.
+    ``SAME_BIN``, a counterpart only); ``p_forward``, ``p_counterpart`` and
+    ``ys`` are float64 arrays of the same length, converted once by the
+    constructor from bools, ints or floats. :meth:`of` builds a checked
+    table from ``PairContribution``s. The ``PairContribution`` list is
+    built on first element access or iteration, its patterns taken from and
+    added to ``decoded`` (code -> ``Pattern``), which the tables of one
+    document share. Two tables are equal when their columns are; any two
+    empty tables are equal.
     """
 
     def __init__(self, m: int, scheme: str, codes, counterpart_codes,
@@ -189,9 +195,31 @@ class PairTable(Sequence):
         self.m, self.scheme = m, scheme
         self.codes = np.asarray(codes, dtype=np.int64)
         self.counterpart_codes = np.asarray(counterpart_codes, dtype=np.int64)
-        self.p_forward, self.p_counterpart, self.ys = p_forward, p_counterpart, ys
+        if (self.codes == _SAME_BIN_CODE).any():
+            raise InvalidPattern(f"{SAME_BIN!r} is allowed only as a counterpart")
+        n = len(self.codes)
+        self.p_forward = _value_column("p_forward", p_forward, n)
+        self.p_counterpart = _value_column("p_counterpart", p_counterpart, n)
+        self.ys = _value_column("ys", ys, n)
         self._decoded = {} if decoded is None else decoded
         self._pairs = None
+
+    @classmethod
+    def of(cls, m: int, scheme: str, pairs) -> PairTable:
+        """The table of ``PairContribution``s. A pattern that is not a
+        ``Pattern`` of ``scheme`` with ``m`` labels in ``1..m`` raises
+        :class:`InvalidPattern`; ``SAME_BIN`` may only be a counterpart."""
+        def code(pattern) -> int:
+            if isinstance(pattern, Pattern) and pattern.scheme == scheme:
+                return _pattern_code(pattern.labels, m, str(pattern))
+            raise InvalidPattern(
+                f"pair pattern {pattern!r} is not a Pattern of scheme {scheme!r}")
+
+        rows = [(code(p.pattern),
+                 _SAME_BIN_CODE if isinstance(p.counterpart, str)
+                 and p.counterpart == SAME_BIN else code(p.counterpart),
+                 p.p_forward, p.p_counterpart, p.ys) for p in pairs]
+        return cls(m, scheme, *(list(zip(*rows)) or [()] * 5))  # 5 columns
 
     def _built(self) -> list[PairContribution]:
         if self._pairs is None:
@@ -205,11 +233,13 @@ class PairTable(Sequence):
             self._pairs = list(map(
                 PairContribution, map(decoded.__getitem__, codes),
                 [decoded.get(c, SAME_BIN) for c in counterparts],
-                *map(_column, self._values())))
+                self.p_forward.tolist(), self.p_counterpart.tolist(),
+                self.ys.tolist()))
         return self._pairs
 
-    def _values(self) -> tuple:
-        return self.p_forward, self.p_counterpart, self.ys
+    def _columns(self) -> tuple:
+        return (self.codes, self.counterpart_codes, self.p_forward,
+                self.p_counterpart, self.ys)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -221,19 +251,11 @@ class PairTable(Sequence):
         return iter(self._built())
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return self._built() == other
         if not isinstance(other, PairTable):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        return not len(self) or (
+        return len(self) == len(other) == 0 or (
             (self.m, self.scheme) == (other.m, other.scheme)
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.counterpart_codes, other.counterpart_codes)
-            and all(np.array_equal(a, b) if isinstance(a, np.ndarray)
-                    and isinstance(b, np.ndarray) else _column(a) == _column(b)
-                    for a, b in zip(self._values(), other._values())))
+            and all(map(np.array_equal, self._columns(), other._columns())))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, {len(self)} pairs)"
@@ -243,24 +265,28 @@ class PairTable(Sequence):
 class IrreversibilityReport:
     """TIR or AIR of one series and configuration.
 
-    ``pairs`` is a ``Sequence[PairContribution]``: a :class:`PairTable`
-    when computed or read, whose elements are built on first access, or a
-    plain list when built by hand.
+    ``pairs`` is always a :class:`PairTable`, whose elements are built on
+    first access; a list of ``PairContribution``s goes through ``PairTable.of``.
     """
 
     kind: str
     config: EmbeddingConfig
     value: float
-    pairs: Sequence[PairContribution] = field(repr=False)
+    pairs: PairTable = field(repr=False)
     n_observed_patterns: int
     n_forbidden_counterparts: int
     n_windows: int
+
+    def __post_init__(self):
+        if not isinstance(self.pairs, PairTable):
+            object.__setattr__(self, "pairs", PairTable.of(
+                self.config.m, self.config.scheme, self.pairs))
 
 
 def _validated_series(series) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
+        raise InvalidParams("series must be one-dimensional")
     if not np.isfinite(x).all():
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteSample(f"non-finite sample at index {bad}")
@@ -285,18 +311,22 @@ def build_histogram(
                             codes=codes, code_counts=code_counts)
 
 
-def ys_divergence(a: float, b: float) -> float:
+def ys_divergence(a, b):
     """Subtraction-based pairwise divergence p_i (p_i - p_j) / (p_i + p_j).
 
-    Inputs are unordered probabilities; internally p_i = max(a, b). Returns
-    0 for the 0/0 case, and Ys(p, 0) = p for forbidden counterparts.
+    Inputs are unordered probabilities, floats or arrays that broadcast
+    together; p_i is ``a`` where ``a >= b``, else ``b``. Returns 0 for the
+    0/0 case, and Ys(p, 0) = p for forbidden counterparts; a float for
+    scalar input, else an array.
     """
-    if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not ((0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0)).all():
         raise DomainError(f"probabilities must lie in [0,1], got {a}, {b}")
-    p_i, p_j = (a, b) if a >= b else (b, a)
-    if p_j == 0.0:
-        return p_i  # Ys(p, 0) = p exactly, including the 0/0 case
-    return p_i * (p_i - p_j) / (p_i + p_j)
+    forward = a >= b
+    p_i, p_j = np.where(forward, a, b), np.where(forward, b, a)
+    ys = p_i.copy()  # Ys(p, 0) = p exactly, including the 0/0 case
+    np.divide(p_i * (p_i - p_j), p_i + p_j, out=ys, where=p_j != 0.0)
+    return float(ys) if ys.ndim == 0 else ys
 
 
 def _counterpart_codes(kind: str, scheme: str, data_tie_free: bool):
@@ -365,10 +395,8 @@ def _report(x: np.ndarray, fwd: PatternHistogram,
         partner = counterpart_of(support, m)
         h, g = _counts_at(support, fwd), _counts_at(partner, fwd)
 
-    # ys_divergence's float operations, on every support code at once.
     pf, pc = h / n, g / n
-    pi, pj = np.maximum(pf, pc), np.minimum(pf, pc)
-    ys = np.where(pj == 0, pi, pi * (pi - pj) / (pi + pj))
+    ys = ys_divergence(pf, pc)
     if counterpart_of is None:
         # No exact pattern-level map: each bin is paired with the same bin
         # of the transformed histogram and carries half its term.

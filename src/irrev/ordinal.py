@@ -160,8 +160,11 @@ def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
     return codes[:, None] // _code_weights(m) % (m + 1)
 
 
-def _label_code(labels, m: int) -> int:
-    """Code of one label sequence whose labels lie in ``0..m``."""
+def _pattern_code(labels: tuple[int, ...], m: int, name) -> int:
+    """Code of ``m`` labels in ``1..m``, else :class:`InvalidPattern` naming
+    the pattern by ``repr(name)``. Realisability is not checked."""
+    if len(labels) != m or min(labels, default=0) < 1 or max(labels) > m:
+        raise InvalidPattern(f"pattern {name!r} does not have {m} labels in 1..{m}")
     code = 0
     for label in labels:
         code = code * (m + 1) + label
@@ -240,7 +243,7 @@ def is_self_symmetric(pattern: Pattern, symmetry: str) -> bool:
         return amplitude_reverse(pattern) == pattern
     if symmetry == "time":
         return time_reverse_tie_free(pattern) == pattern
-    raise ValueError(f"symmetry must be 'amplitude' or 'time', got {symmetry!r}")
+    raise InvalidParams(f"symmetry must be 'amplitude' or 'time', got {symmetry!r}")
 
 
 def canonical_representative(pattern: Pattern) -> list[int]:
@@ -254,8 +257,7 @@ def canonical_representative(pattern: Pattern) -> list[int]:
     """
     labels = pattern.labels
     m = len(labels)
-    if any(v < 1 or v > m for v in labels):
-        raise InvalidPattern(f"labels of {labels} out of range 1..{m}")
+    _pattern_code(labels, m, str(pattern))  # labels in 1..m
 
     runs = [(v, len(list(run))) for v, run in groupby(labels)]
     run_labels = [v for v, _ in runs]

@@ -11,7 +11,9 @@ rational arithmetic. Intended for testing on small inputs only (n up to
 :mod:`irrev.measures`, kept as it was: it works on the public
 ``PatternHistogram.counts`` dicts and the pattern-level symmetry maps, adds
 one fraction per pattern, and builds a full report, pairs included, to
-compare with :func:`irrev.measures.measure`.
+compare with :func:`irrev.measures.measure`. :func:`reference_pairs` is its
+``PairContribution`` list as built, before the report turns it into a
+``PairTable``.
 
 :func:`reference_report_text` and :func:`reference_read_series` are the
 earlier report writer (``json.dumps`` of the whole document) and the earlier
@@ -167,8 +169,8 @@ def _counterpart_map(kind: str, scheme: str, data_tie_free: bool):
     return None
 
 
-def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
-    """TIR or AIR of the series from its forward histogram ``fwd``."""
+def _decomposition(series, fwd: PatternHistogram, kind: str):
+    """H and G counts, the exact sum of Ys and the pair list of ``kind``."""
     config, n, h = fwd.config, fwd.n_windows, fwd.counts
     counterpart_of = _counterpart_map(kind, config.scheme,
                                       fwd.n_tied_windows == 0)
@@ -200,21 +202,31 @@ def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
             seen.update((p, q))
             pairs.append(
                 PairContribution(p, SAME_BIN if q == p else q, pf, pc, ys))
+    return h, g, total, pairs
 
+
+def _report(series, fwd: PatternHistogram, kind: str) -> IrreversibilityReport:
+    """TIR or AIR of the series from its forward histogram ``fwd``."""
+    h, g, total, pairs = _decomposition(series, fwd, kind)
     return IrreversibilityReport(
         kind=kind,
-        config=config,
+        config=fwd.config,
         value=float(total / 2),
         pairs=pairs,
         n_observed_patterns=len(h),
         n_forbidden_counterparts=sum(1 for p in h if g.get(p, 0) == 0),
-        n_windows=n,
+        n_windows=fwd.n_windows,
     )
 
 
 def reference_measure(series, config, kind) -> IrreversibilityReport:
     """The full report of the dict-based pair decomposition."""
     return _report(series, build_histogram(series, config), kind)
+
+
+def reference_pairs(series, config, kind) -> list[PairContribution]:
+    """The ``PairContribution`` list of :func:`reference_measure`, as built."""
+    return _decomposition(series, build_histogram(series, config), kind)[3]
 
 
 # -- the json.dumps report writer and the line-by-line series reader ---------

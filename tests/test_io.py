@@ -217,6 +217,46 @@ class TestReportDocument:
         with pytest.raises(InvalidPattern, match="labels in 1..3"):
             read_report(str(path))
 
+    def test_same_bin_only_as_counterpart(self, tmp_path):
+        path = tmp_path / "bad.json"
+        write_report(self._document(), str(path))
+        doc = json.loads(path.read_text())
+        doc["reports"][1]["pairs"][-1]["pattern"] = SAME_BIN
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidPattern, match="only as a counterpart"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("value", [None, "0.5", [1], 2**70])
+    def test_non_numeric_pair_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        write_report(self._document(), str(path))
+        doc = json.loads(path.read_text())
+        doc["reports"][0]["pairs"][0]["ys"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match="ys must be"):
+            read_report(str(path))
+
+    def test_hand_built_values_are_written_as_floats(self, tmp_path):
+        p, q = Pattern((1, 2, 3)), Pattern((3, 2, 1))
+        hand = dataclasses.replace(
+            measure(np.arange(6.0), EmbeddingConfig(m=3), "TIR"), pairs=[
+                PairContribution(p, q, 1, True, np.float64(0.25)),
+                PairContribution(q, SAME_BIN, np.int64(0), False, 0)])
+        pairs = hand.pairs
+        for column in (pairs.p_forward, pairs.p_counterpart, pairs.ys):
+            assert column.dtype == np.float64
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(ReportDocument(provenance={}, reports=[hand]), str(first))
+        text = first.read_text()
+        assert text.count('"p_forward": 1.0,') == 1
+        assert text.count('"p_counterpart": 1.0,') == 1
+        assert text.count('"p_forward": 0.0,') == 1
+        assert text.count('"ys": 0.0\n') == 1
+        back = read_report(str(first))
+        assert back.reports == [hand]
+        write_report(back, str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_first_bad_string_in_document_order_named(self, tmp_path):
         path = tmp_path / "bad.json"
         write_report(self._document(), str(path))

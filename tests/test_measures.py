@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,6 +12,7 @@ from irrev import (
     DomainError,
     EmbeddingConfig,
     InvalidParams,
+    InvalidPattern,
     ModelSpec,
     NonFiniteSample,
     Pattern,
@@ -29,7 +31,8 @@ from irrev.measures import SAME_BIN, PairContribution, PairTable
 
 from conftest import random_series_with_ties
 from oracle import (_ordinal_labels, _window_tied,
-                    measure_by_definition_oracle, reference_measure)
+                    measure_by_definition_oracle, reference_measure,
+                    reference_pairs)
 
 
 class TestBuildHistogram:
@@ -116,6 +119,25 @@ class TestYsDivergence:
             ys_divergence(1.2, 0.1)
         with pytest.raises(DomainError):
             ys_divergence(0.1, -0.2)
+        with pytest.raises(DomainError):
+            ys_divergence(np.array([0.25, 0.5]), np.array([0.5, np.nan]))
+
+    def test_signed_zeros(self):
+        # p_i is the first argument on a tie, as it always was.
+        assert math.copysign(1.0, ys_divergence(-0.0, 0.0)) == -1.0
+        assert math.copysign(1.0, ys_divergence(0.0, -0.0)) == 1.0
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(4)
+        a = np.r_[rng.uniform(0, 1, 200), 0.0, 0.0, -0.0, 0.3]
+        b = np.r_[rng.uniform(0, 1, 200), 0.0, -0.0, 0.0, 0.0]
+        b[:50] = a[:50]
+        ys = ys_divergence(a, b)
+        assert isinstance(ys, np.ndarray) and ys.dtype == np.float64
+        expected = [ys_divergence(u, v) for u, v in zip(a.tolist(), b.tolist())]
+        assert all(isinstance(v, float) for v in expected)
+        assert ys.tobytes() == np.array(expected).tobytes()
+        assert ys_divergence(a, 0.0).tobytes() == a.tobytes()
 
 
 class TestMeasure:
@@ -136,6 +158,10 @@ class TestMeasure:
     def test_unknown_kind_is_invalid_params(self):
         with pytest.raises(InvalidParams, match="'PE'"):
             measure([1.0, 2.0, 3.0], EmbeddingConfig(m=2), "PE")
+
+    def test_two_dimensional_series_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="one-dimensional"):
+            measure(np.ones((10, 2)), EmbeddingConfig(m=2), "TIR")
 
     def test_alternating_series(self):
         x = [1, 2, 1, 2, 1, 2, 1, 2, 1]
@@ -391,7 +417,7 @@ class TestPairTableAndCounts:
     def _report_and_reference(self):
         x = np.round(np.random.default_rng(22).standard_normal(3000))
         cfg = EmbeddingConfig(m=4)
-        return measure(x, cfg, "AIR"), reference_measure(x, cfg, "AIR").pairs
+        return measure(x, cfg, "AIR"), reference_pairs(x, cfg, "AIR")
 
     def test_sequence_protocol(self):
         report, ref = self._report_and_reference()
@@ -410,10 +436,10 @@ class TestPairTableAndCounts:
     def test_equality_with_lists_and_tables(self):
         report, ref = self._report_and_reference()
         pairs = report.pairs
-        assert pairs == ref and ref == pairs
-        assert not pairs != ref and not ref != pairs
-        assert pairs != ref[:-1] and ref[:-1] != pairs
-        assert pairs != tuple(ref)
+        assert list(pairs) == ref and ref == list(pairs)
+        assert not list(pairs) != ref and not ref != list(pairs)
+        assert list(pairs) != ref[:-1] and ref[:-1] != list(pairs)
+        assert pairs != ref and pairs != tuple(ref)
 
         def table(**columns):
             base = dict(codes=pairs.codes,
@@ -433,13 +459,14 @@ class TestPairTableAndCounts:
         counterparts = pairs.counterpart_codes.copy()
         counterparts[paired] = -1
         assert table(counterpart_codes=counterparts) != pairs
-        assert table(counterpart_codes=counterparts) != ref
+        assert list(table(counterpart_codes=counterparts)) != ref
         other = PairTable(pairs.m, "original", pairs.codes,
                           pairs.counterpart_codes, pairs.p_forward,
                           pairs.p_counterpart, pairs.ys)
-        assert other != pairs and other != ref
-        assert PairTable(5, "original", [], [], [], [], []) == \
-            PairTable(3, "equal-value", [], [], [], [], []) == []
+        assert other != pairs and list(other) != ref
+        empty = PairTable(5, "original", [], [], [], [], [])
+        assert empty == PairTable(3, "equal-value", [], [], [], [], [])
+        assert list(empty) == []
 
     def test_counts_mapping(self):
         x = _tied_series(3000, 23)
@@ -467,6 +494,73 @@ class TestPairTableAndCounts:
         assert h == build_histogram(list(x), EmbeddingConfig(m=3))
         assert h != build_histogram(x[1:], EmbeddingConfig(m=3))
         assert h != build_histogram(x, EmbeddingConfig(m=3), "negate")
+
+
+class TestHandBuiltPairs:
+    """Pairs given as a list become a checked table of float64 columns."""
+
+    P, Q = Pattern((1, 2, 3)), Pattern((3, 2, 1))
+
+    def _report(self, *pairs):
+        report = measure(np.arange(6.0), EmbeddingConfig(m=3), "TIR")
+        return dataclasses.replace(report, pairs=list(pairs))
+
+    def test_list_becomes_float64_table(self):
+        p, q = self.P, self.Q
+        report = self._report(
+            PairContribution(p, q, 1, True, np.float64(0.25)),
+            PairContribution(q, SAME_BIN, np.int64(0), False, np.float32(0.5)))
+        pairs = report.pairs
+        assert isinstance(pairs, PairTable)
+        for column in (pairs.p_forward, pairs.p_counterpart, pairs.ys):
+            assert column.dtype == np.float64 and column.shape == (2,)
+        assert pairs.counterpart_codes[1] == -1
+        assert list(pairs) == [PairContribution(p, q, 1.0, 1.0, 0.25),
+                               PairContribution(q, SAME_BIN, 0.0, 0.0, 0.5)]
+        assert all(type(v) is float for pair in pairs
+                   for v in (pair.p_forward, pair.p_counterpart, pair.ys))
+        assert self._report(*pairs) == report
+        assert self._report().pairs == PairTable(3, "equal-value",
+                                                 [], [], [], [], [])
+
+    @pytest.mark.parametrize("labels", [(9, 9, 9), (1, 2), (0, 1, 2),
+                                        (1, 2, 3, 1)])
+    @pytest.mark.parametrize("field", ["pattern", "counterpart"])
+    def test_labels_not_in_1_to_m_are_invalid_pattern(self, labels, field):
+        pair = dataclasses.replace(PairContribution(self.P, self.Q, 0.5, 0.5, 0.0),
+                                   **{field: Pattern(labels)})
+        with pytest.raises(InvalidPattern, match="labels in 1..3"):
+            self._report(pair)
+
+    @pytest.mark.parametrize("pattern, counterpart", [
+        (SAME_BIN, SAME_BIN),
+        (SAME_BIN, Q),
+        (Pattern((1, 2, 3), "original"), SAME_BIN),
+        (P, Pattern((3, 2, 1), "original")),
+        ((1, 2, 3), SAME_BIN),
+        ("1,2,3", Q),
+        (P, "1,2,3"),
+        (P, None),
+    ])
+    def test_other_patterns_are_invalid_pattern(self, pattern, counterpart):
+        with pytest.raises(InvalidPattern, match="of scheme 'equal-value'"):
+            self._report(PairContribution(pattern, counterpart, 0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize("value", [None, "0.5", [1], 1j, 2**70])
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_values_not_bools_ints_or_floats_are_invalid_params(self, value,
+                                                                 alone):
+        pairs = [PairContribution(self.P, SAME_BIN, 0.5, value, 0.0)]
+        if not alone:
+            pairs.append(PairContribution(self.Q, SAME_BIN, 0.5, 0.5, 0.0))
+        with pytest.raises(InvalidParams, match="p_counterpart must be"):
+            self._report(*pairs)
+
+    def test_columns_of_other_lengths_are_invalid_params(self):
+        with pytest.raises(InvalidParams, match="ys must be"):
+            PairTable(3, "equal-value", [5], [-1], [0.5], [0.5], [0.0, 1.0])
+        with pytest.raises(InvalidParams, match="p_forward must be"):
+            PairTable(3, "equal-value", [5], [-1], 0.5, [0.5], [0.0])
 
 
 class TestReportBytes:

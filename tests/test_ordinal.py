@@ -180,6 +180,10 @@ class TestTransforms:
         with pytest.raises(TiedPatternUnsupported):
             is_self_symmetric(Pattern((1, 1, 3)), "time")
 
+    def test_unknown_symmetry_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="'mirror'"):
+            is_self_symmetric(Pattern((1, 2)), "mirror")
+
 
 def _brute_force_patterns(m):
     """Every equal-value pattern realizable by an integer window of length m."""
@@ -209,6 +213,10 @@ class TestCanonicalRepresentative:
         # Label out of range.
         with pytest.raises(InvalidPattern):
             canonical_representative(Pattern((1, 4, 2)))
+
+    def test_rejects_the_empty_pattern(self):
+        with pytest.raises(InvalidPattern, match="0 labels"):
+            canonical_representative(Pattern(()))
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_validity_matches_exhaustive_search(self, m):
