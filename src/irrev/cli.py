@@ -47,11 +47,11 @@ class _FlagOption(click.Option):
         return os.environ.get(f"{ctx.auto_envvar_prefix}_{flag}") or None
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '2..6' (inclusive) or a single integer."""
+def _parse_range(text: str) -> range:
+    """Parse '2..6' (inclusive) or a single integer; nothing is listed."""
     lo, sep, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi if sep else lo) + 1))
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise click.UsageError(
             f"expected an integer or a..b, got {text!r}") from None
@@ -168,8 +168,9 @@ def sweep_cmd(m_range, tau_range, measure_flag, scheme, tie_epsilon, out,
               **source):
     """Sweep a (kind, m, tau) grid and emit a CSV table."""
     ms, taus = _parse_range(m_range), _parse_range(tau_range)
-    for m in ms:
-        for tau in taus:
+    # EmbeddingConfig's bounds are monotone in m and tau: corners cover all.
+    for m in (ms[0], ms[-1]):
+        for tau in (taus[0], taus[-1]):
             EmbeddingConfig(m=m, tau=tau, scheme=scheme,
                             tie_epsilon=tie_epsilon)
     series = _read_series(**source)

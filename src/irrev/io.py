@@ -15,6 +15,7 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -142,41 +143,30 @@ def _durable_write(path: str, text: str) -> None:
 
 # -- JSON document codec -------------------------------------------------------
 
-def _parse_codes(texts, m: int, codes: dict[str, int]) -> None:
-    """Add the code of each codec string of ``texts`` to ``codes``.
+_PAIR_KEYS = ("pattern", "counterpart", "p_forward", "p_counterpart", "ys")
 
-    Checks only that a string holds ``m`` integer labels in ``1..m``;
-    realisability is not checked, reports are trusted input. Each string not
-    yet in ``codes`` is parsed once, in the order of ``texts``, so a bad
-    string raises before any later one.
+
+def report_from_dict(d: dict, codes_by_m: dict) -> IrreversibilityReport:
+    """Rebuild a report; ``codes_by_m`` is the memo of its document.
+
+    ``codes_by_m`` maps ``m`` to the code of each codec string parsed so far
+    (``SAME_BIN`` included); a code does not depend on the scheme. Each new
+    string is parsed once, in document order, so a bad string raises before
+    any later one. It must hold ``m`` integer labels in ``1..m``;
+    realisability is not checked, reports are trusted input.
     """
-    for text in dict.fromkeys(texts):
+    config = EmbeddingConfig(**d["config"])
+    codes = codes_by_m.setdefault(config.m, {SAME_BIN: _SAME_BIN_CODE})
+    pattern_texts, counterpart_texts, p_forward, p_counterpart, ys = (
+        list(map(itemgetter(key), d["pairs"])) for key in _PAIR_KEYS)
+    for text in dict.fromkeys(chain.from_iterable(zip(pattern_texts,
+                                                      counterpart_texts))):
         if text not in codes:
             try:
                 labels = tuple(map(int, text.split(",")))
             except ValueError:
                 labels = ()
-            codes[text] = _pattern_code(labels, m, text)
-
-
-_PAIR_KEYS = ("pattern", "counterpart", "p_forward", "p_counterpart", "ys")
-
-
-def report_from_dict(d: dict, patterns: dict) -> IrreversibilityReport:
-    """Rebuild a report; ``patterns`` shares parsed patterns between reports.
-
-    ``patterns`` maps ``(m, scheme)`` to two memos of that configuration:
-    pattern codes by codec string (``SAME_BIN`` included), and the
-    ``Pattern`` objects built so far by code. The pair values are stored as
-    float64.
-    """
-    config = EmbeddingConfig(**d["config"])
-    codes, decoded = patterns.setdefault((config.m, config.scheme), (
-        {SAME_BIN: _SAME_BIN_CODE}, {}))
-    pattern_texts, counterpart_texts, p_forward, p_counterpart, ys = (
-        list(map(itemgetter(key), d["pairs"])) for key in _PAIR_KEYS)
-    _parse_codes([text for pair in zip(pattern_texts, counterpart_texts)
-                  for text in pair], config.m, codes)
+            codes[text] = _pattern_code(labels, config.m, text)
     return IrreversibilityReport(
         kind=d["kind"],
         config=config,
@@ -184,20 +174,10 @@ def report_from_dict(d: dict, patterns: dict) -> IrreversibilityReport:
         pairs=PairTable(
             config.m, config.scheme, list(map(codes.__getitem__, pattern_texts)),
             list(map(codes.__getitem__, counterpart_texts)),
-            p_forward, p_counterpart, ys, decoded),
+            p_forward, p_counterpart, ys),
         n_observed_patterns=d["n_observed_patterns"],
         n_forbidden_counterparts=d["n_forbidden_counterparts"],
         n_windows=d["n_windows"],
-    )
-
-
-def document_from_dict(d: dict) -> ReportDocument:
-    patterns = {}
-    return ReportDocument(
-        provenance=d["provenance"],
-        reports=[report_from_dict(r, patterns) for r in d["reports"]],
-        verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
-        schema_version=d["schema_version"],
     )
 
 
@@ -304,14 +284,22 @@ def write_report(doc: ReportDocument, path: str) -> None:
 def read_report(path: str) -> ReportDocument:
     """Load a report document written by :func:`write_report`.
 
-    Each distinct pattern string is parsed once per document and
-    configuration, and must hold ``m`` integer labels in ``1..m``, else
-    :class:`InvalidPattern` is raised; a pair value that is not a number
-    raises :class:`InvalidParams`. Reports are otherwise trusted input:
-    neither the realisability of a pattern nor the numbers are re-checked.
+    Each distinct pattern string is parsed once per document and ``m``, and
+    must hold ``m`` integer labels in ``1..m``, else :class:`InvalidPattern`
+    is raised; a pair value or report field of the wrong type raises
+    :class:`InvalidParams`. Reports are otherwise trusted input: neither the
+    realisability of a pattern nor the numbers are re-checked. Each table
+    decodes its own codes when its pairs are first read.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return document_from_dict(json.load(fh))
+        d = json.load(fh)
+    codes_by_m = {}
+    return ReportDocument(
+        provenance=d["provenance"],
+        reports=[report_from_dict(r, codes_by_m) for r in d["reports"]],
+        verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
+        schema_version=d["schema_version"],
+    )
 
 
 def write_sweep_csv(reports, path: str) -> None:

@@ -29,7 +29,8 @@ columns are computed on arrays.
 Histograms and the pairs of every report, hand-built ones too, stay
 integer-code columns (a :class:`PairTable`, with float64 values).
 :class:`~irrev.ordinal.Pattern` and :class:`PairContribution` objects are
-built only when a caller reads them; no value or written report needs them.
+built only when a caller reads them, each histogram and table decoding its
+own codes once; no value or written report needs them.
 
 Counts are exact integers; the value is accumulated in rational arithmetic,
 one fraction per distinct denominator ``ci + cj``, and converted to float
@@ -184,14 +185,13 @@ class PairTable(Sequence):
     ``ys`` are float64 arrays of the same length, converted once by the
     constructor from bools, ints or floats. :meth:`of` builds a checked
     table from ``PairContribution``s. The ``PairContribution`` list is
-    built on first element access or iteration, its patterns taken from and
-    added to ``decoded`` (code -> ``Pattern``), which the tables of one
-    document share. Two tables are equal when their columns are; any two
-    empty tables are equal.
+    built on first element access or iteration, which decodes each distinct
+    code of the table once. Two tables are equal when their columns are;
+    any two empty tables are equal.
     """
 
     def __init__(self, m: int, scheme: str, codes, counterpart_codes,
-                 p_forward, p_counterpart, ys, decoded=None):
+                 p_forward, p_counterpart, ys):
         self.m, self.scheme = m, scheme
         self.codes = np.asarray(codes, dtype=np.int64)
         self.counterpart_codes = np.asarray(counterpart_codes, dtype=np.int64)
@@ -201,7 +201,6 @@ class PairTable(Sequence):
         self.p_forward = _value_column("p_forward", p_forward, n)
         self.p_counterpart = _value_column("p_counterpart", p_counterpart, n)
         self.ys = _value_column("ys", ys, n)
-        self._decoded = {} if decoded is None else decoded
         self._pairs = None
 
     @classmethod
@@ -223,16 +222,15 @@ class PairTable(Sequence):
 
     def _built(self) -> list[PairContribution]:
         if self._pairs is None:
-            decoded = self._decoded
             codes = self.codes.tolist()
             counterparts = self.counterpart_codes.tolist()
-            fresh = [c for c in dict.fromkeys(codes + counterparts)
-                     if c not in decoded and c != _SAME_BIN_CODE]
-            decoded.update(zip(fresh, _decode(np.array(fresh, dtype=np.int64),
-                                              self.m, self.scheme)))
+            distinct = list({*codes, *counterparts} - {_SAME_BIN_CODE})
+            decoded = dict(zip(distinct, _decode(
+                np.array(distinct, dtype=np.int64), self.m, self.scheme)))
+            decoded[_SAME_BIN_CODE] = SAME_BIN
             self._pairs = list(map(
                 PairContribution, map(decoded.__getitem__, codes),
-                [decoded.get(c, SAME_BIN) for c in counterparts],
+                map(decoded.__getitem__, counterparts),
                 self.p_forward.tolist(), self.p_counterpart.tolist(),
                 self.ys.tolist()))
         return self._pairs
@@ -267,6 +265,8 @@ class IrreversibilityReport:
 
     ``pairs`` is always a :class:`PairTable`, whose elements are built on
     first access; a list of ``PairContribution``s goes through ``PairTable.of``.
+    ``kind`` must be TIR or AIR, ``value`` is stored as a float and each
+    count as an int >= 0, else :class:`InvalidParams` is raised.
     """
 
     kind: str
@@ -278,9 +278,28 @@ class IrreversibilityReport:
     n_windows: int
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise InvalidParams(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        for name, cast in (("value", float), ("n_observed_patterns", int),
+                           ("n_forbidden_counterparts", int), ("n_windows", int)):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), cast))
         if not isinstance(self.pairs, PairTable):
             object.__setattr__(self, "pairs", PairTable.of(
                 self.config.m, self.config.scheme, self.pairs))
+
+
+_NUMBERS = (bool, int, float, np.bool_, np.integer, np.floating)
+
+
+def _scalar(name: str, value, cast):
+    """``cast(value)`` of a bool, int or float, numpy scalars too; for
+    ``int``, only of a whole number >= 0."""
+    with suppress(ValueError, OverflowError):  # int(nan), float(10**400)
+        if isinstance(value, _NUMBERS) and (
+                cast is float or (value >= 0 and int(value) == value)):
+            return cast(value)
+    wanted = "a whole number >= 0" if cast is int else "a bool, int or float"
+    raise InvalidParams(f"{name} must be {wanted}, got {value!r}")
 
 
 def _validated_series(series) -> np.ndarray:
@@ -424,7 +443,7 @@ def measure(series, config: EmbeddingConfig, kind: str) -> IrreversibilityReport
     """Compute TIR or AIR with full per-pair decomposition."""
     if kind not in _KINDS:
         raise InvalidParams(f"kind must be one of {_KINDS}, got {kind!r}")
-    x = _validated_series(series)
+    x = np.asarray(series, dtype=float)  # build_histogram checks it
     return _report(x, build_histogram(x, config), kind)
 
 
@@ -438,10 +457,11 @@ def sweep(
 ) -> list[IrreversibilityReport]:
     """One report per (kind, m, tau) cell, in kind-major cell order.
 
-    The forward histogram of each (m, tau) is built once for all kinds.
+    The forward histogram of each (m, tau) is built once for all kinds. A
+    ``range`` is not listed, so it may be huge.
     """
-    m_range = list(m_range)
-    tau_range = list(tau_range)
+    m_range, tau_range = (r if isinstance(r, range) else list(r)
+                          for r in (m_range, tau_range))
     kinds = list(kinds)
     for k in kinds:
         if k not in _KINDS:

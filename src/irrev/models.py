@@ -56,7 +56,7 @@ def _logistic(n, r=4.0, x1=0.01):
     for t in range(n):
         out[t] = x
         x = r * x * (1.0 - x)
-        if not np.isfinite(x) or abs(x) > _ESCAPE:
+        if not abs(x) <= _ESCAPE:  # NaN and inf fail this too
             raise DivergedOrbit(
                 f"logistic orbit diverged at step {t + 1} (x = {x})"
             )
@@ -69,7 +69,7 @@ def _henon(n, alpha=1.4, beta=0.3, x1=0.01, y1=0.01):
     for t in range(n):
         out[t] = x
         x, y = 1.0 - alpha * x * x + y, beta * x
-        if not np.isfinite(x) or abs(x) > _ESCAPE:
+        if not abs(x) <= _ESCAPE:  # NaN and inf fail this too
             raise DivergedOrbit(f"Henon orbit diverged at step {t + 1} (x = {x})")
     return out
 

@@ -171,21 +171,9 @@ def _pattern_code(labels: tuple[int, ...], m: int, name) -> int:
     return code
 
 
-def _trusted_pattern(labels: tuple[int, ...], scheme: str) -> Pattern:
-    """A ``Pattern`` from a tuple of ints and a checked scheme, as is.
-
-    Skips the normalisation and checks of ``Pattern.__init__``, which cost
-    more than the rest of a histogram decode.
-    """
-    pattern = object.__new__(Pattern)
-    object.__setattr__(pattern, "labels", labels)
-    object.__setattr__(pattern, "scheme", scheme)
-    return pattern
-
-
 def _decode(codes: np.ndarray, m: int, scheme: str) -> list[Pattern]:
-    return [_trusted_pattern(tuple(r), scheme)
-            for r in _code_digits(codes, m).tolist()]
+    """The ``Pattern`` of each code: the one place patterns are made from codes."""
+    return [Pattern(row, scheme) for row in _code_digits(codes, m).tolist()]
 
 
 def _reversed_codes(codes: np.ndarray, m: int) -> np.ndarray:
@@ -209,7 +197,7 @@ def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
         if not math.isfinite(v):
             raise NonFiniteSample(f"non-finite sample {v!r} in window")
     codes, _ = _encode(np.array(values), replace(config, tau=1))
-    return Pattern(tuple(_code_digits(codes, config.m)[0]), config.scheme)
+    return _decode(codes, config.m, config.scheme)[0]
 
 
 def amplitude_reverse(pattern: Pattern) -> Pattern:

@@ -138,6 +138,17 @@ class TestSweep:
         assert code == 2
         assert "m=6" in err
 
+    def test_huge_tau_range_aborts_at_first_short_cell(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("1\n2\n3\n4\n5\n")
+        code, _, err = run(capsys, "sweep", "--input", str(path),
+                           "--m", "2", "--tau", "1..1" + "0" * 30,
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "m=2 tau=5" in err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestSurrogateTest:
     def test_chaotic_series_significant(self, capsys, tmp_path):
@@ -298,6 +309,8 @@ class TestUsageAndEnv:
 @pytest.mark.parametrize("argv", [
     ["sweep", "--input", "{input}", "--m", "1..3", "--out", "{tmp}/s.csv"],
     ["sweep", "--input", "{input}", "--m", "a..3", "--out", "{tmp}/s.csv"],
+    ["sweep", "--input", "{input}", "--m", "2..1" + "0" * 30, "--out",
+     "{tmp}/s.csv"],
     ["surrogate-test", "--input", "{input}", "--m", "3", "--seed", "1",
      "--n-surrogates", "0"],
     ["repro-models", "--out-dir", "{tmp}/repro", "--seed", "1",

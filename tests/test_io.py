@@ -269,12 +269,48 @@ class TestReportDocument:
         with pytest.raises(InvalidPattern, match="'1,2,4'"):
             read_report(str(path))
 
-    def test_patterns_parsed_once_per_document(self, tmp_path):
+    def test_patterns_parsed_once_per_document(self, tmp_path, monkeypatch):
         path = tmp_path / "r.json"
         write_report(self._document(), str(path))
+        parsed = []
+        real = irrev_io._pattern_code
+
+        def counting(labels, m, text):
+            parsed.append(text)
+            return real(labels, m, text)
+
+        monkeypatch.setattr(irrev_io, "_pattern_code", counting)
         tir, air = read_report(str(path)).reports
         assert tir.pairs[0].pattern.labels == air.pairs[0].pattern.labels
-        assert tir.pairs[0].pattern is air.pairs[0].pattern
+        assert tir.pairs[0].pattern == air.pairs[0].pattern
+        doc = json.loads(path.read_text())
+        strings = {pair[key] for report in doc["reports"]
+                   for pair in report["pairs"]
+                   for key in ("pattern", "counterpart")} - {"same-bin"}
+        assert sorted(parsed) == sorted(strings)
+
+    def test_numpy_scalar_fields_are_written(self, tmp_path):
+        report = dataclasses.replace(
+            self._document().reports[0], value=np.float32(0.5),
+            n_windows=np.int64(8), n_forbidden_counterparts=np.uint8(0))
+        path = tmp_path / "r.json"
+        write_report(ReportDocument(provenance={}, reports=[report]), str(path))
+        written = json.loads(path.read_text())["reports"][0]
+        assert (written["value"], written["n_windows"]) == (0.5, 8)
+        assert read_report(str(path)).reports == [report]
+
+    @pytest.mark.parametrize("field, bad", [
+        ("value", "0.5"), ("value", None), ("n_windows", None),
+        ("n_windows", "8"), ("n_observed_patterns", -1),
+        ("n_forbidden_counterparts", 1.5), ("kind", "tir")])
+    def test_bad_report_field_rejected_on_read(self, tmp_path, field, bad):
+        path = tmp_path / "bad.json"
+        write_report(self._document(), str(path))
+        doc = json.loads(path.read_text())
+        doc["reports"][1][field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match=f"{field} must be"):
+            read_report(str(path))
 
     def test_config_and_verdict_bytes(self, tmp_path):
         verdict = SurrogateVerdict(

@@ -563,6 +563,53 @@ class TestHandBuiltPairs:
             PairTable(3, "equal-value", [5], [-1], 0.5, [0.5], [0.0])
 
 
+class TestReportFields:
+    """A report stores a float value and int counts, or raises InvalidParams."""
+
+    def _report(self, **fields):
+        report = measure(np.arange(6.0), EmbeddingConfig(m=3), "TIR")
+        return dataclasses.replace(report, **fields)
+
+    @pytest.mark.parametrize("value, stored", [
+        (1, 1.0), (True, 1.0), (np.float32(0.5), 0.5), (np.int64(-3), -3.0),
+        (np.bool_(False), 0.0), (float("nan"), None), (2**70, 2.0**70)])
+    def test_value_is_stored_as_float(self, value, stored):
+        report = self._report(value=value)
+        assert type(report.value) is float
+        assert report.value == stored or stored is None
+
+    @pytest.mark.parametrize("count, stored", [
+        (8, 8), (np.int64(8), 8), (np.uint8(8), 8), (8.0, 8),
+        (np.float32(8), 8), (True, 1), (np.bool_(True), 1), (0, 0),
+        (2**70, 2**70)])
+    @pytest.mark.parametrize("name", ["n_observed_patterns",
+                                      "n_forbidden_counterparts", "n_windows"])
+    def test_counts_are_stored_as_ints(self, name, count, stored):
+        report = self._report(**{name: count})
+        assert type(getattr(report, name)) is int
+        assert getattr(report, name) == stored
+
+    @pytest.mark.parametrize("value", [None, "0.5", [0.5], 1j, 10**400,
+                                       np.complex128(1),
+                                       np.array([0.5])])
+    def test_bad_value_is_invalid_params(self, value):
+        with pytest.raises(InvalidParams, match="value must be"):
+            self._report(value=value)
+
+    @pytest.mark.parametrize("count", [None, "8", -1, np.int64(-1), 8.5,
+                                       float("nan"), float("inf"), [8]])
+    @pytest.mark.parametrize("name", ["n_observed_patterns",
+                                      "n_forbidden_counterparts", "n_windows"])
+    def test_bad_count_is_invalid_params(self, name, count):
+        with pytest.raises(InvalidParams, match=f"{name} must be"):
+            self._report(**{name: count})
+
+    @pytest.mark.parametrize("kind", ["tir", "XYZ", None])
+    def test_bad_kind_is_invalid_params(self, kind):
+        with pytest.raises(InvalidParams, match="kind must be"):
+            self._report(kind=kind)
+
+
 class TestReportBytes:
     # sha256 of the report document of one TIR and one AIR report at m=5,
     # tau=2; frozen from the dict-based decomposition.

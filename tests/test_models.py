@@ -45,6 +45,13 @@ class TestHenon:
         assert np.all(np.abs(x) < 2.0)
 
 
+@pytest.mark.parametrize("kind", ["logistic", "henon"])
+@pytest.mark.parametrize("x1", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_start_diverges_at_step_1(kind, x1):
+    with pytest.raises(DivergedOrbit, match="diverged at step 1 "):
+        generate(ModelSpec(kind, 10, params={"x1": x1}))
+
+
 class TestGaussian:
     def test_requires_seed(self):
         with pytest.raises(InvalidParams):
