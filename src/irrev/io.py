@@ -5,6 +5,12 @@ significant digits (enough to round-trip any double), JSON documents are
 written with sorted keys, and ``write -> read -> write`` is byte-identical.
 Report documents embed provenance (input, config, seed, tool version) so
 every published number can be regenerated.
+
+Report documents are written in schema "2", where each report's ``pairs``
+is an object of five lists of one length (``counterpart``,
+``p_counterpart``, ``p_forward``, ``pattern``, ``ys``). Schema "1", with
+one object per pair, is still read: its pairs are turned into the same
+five lists, and from there both versions share one reader.
 """
 
 from __future__ import annotations
@@ -15,17 +21,18 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import EmptyFile, InvalidParams, NonFiniteSample, ParseError
+from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
+                     ParseError)
 from .measures import _SAME_BIN_CODE, SAME_BIN, IrreversibilityReport, PairTable
-from .ordinal import EmbeddingConfig, _code_digits, _pattern_code
+from .ordinal import EmbeddingConfig, _code_digits, _code_weights
 from .surrogates import SurrogateVerdict
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,21 @@ def _bulk_samples(text: str) -> list[float] | None:
 
 
 def write_series(series, path: str) -> None:
-    """Write one sample per line, 17 significant digits, newline-terminated."""
-    samples = [float(v) for v in series]
-    if not samples:
+    """Write one sample per line, 17 significant digits, newline-terminated.
+
+    The samples are checked once as a float64 array and rendered with one
+    format operation, whose text equals :func:`_fmt` of each sample.
+    """
+    samples = np.asarray(series, dtype=np.float64)
+    if samples.ndim != 1:
+        raise InvalidParams("series must be one-dimensional")
+    if not len(samples):
         raise EmptyFile("refusing to write an empty series")
-    for v in samples:
-        if not math.isfinite(v):
-            raise NonFiniteSample(f"non-finite sample {v!r}")
-    _durable_write(path, "".join(_fmt(v) + "\n" for v in samples))
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = float(samples[np.argmin(finite)])
+        raise NonFiniteSample(f"non-finite sample {bad!r}")
+    _durable_write(path, ("%.17g\n" * len(samples)) % tuple(samples.tolist()))
 
 
 def _durable_write(path: str, text: str) -> None:
@@ -143,38 +157,104 @@ def _durable_write(path: str, text: str) -> None:
 
 # -- JSON document codec -------------------------------------------------------
 
-_PAIR_KEYS = ("pattern", "counterpart", "p_forward", "p_counterpart", "ys")
+# The lists of a report's ``pairs``, in the sorted order json writes them.
+_PAIR_KEYS = ("counterpart", "p_counterpart", "p_forward", "pattern", "ys")
+_READABLE_VERSIONS = ("1", SCHEMA_VERSION)
 
 
-def report_from_dict(d: dict, codes_by_m: dict) -> IrreversibilityReport:
-    """Rebuild a report; ``codes_by_m`` is the memo of its document.
+def _pair_lists(pairs, version: str) -> dict:
+    """The five pair lists of a report of schema ``version``, of one length.
 
-    ``codes_by_m`` maps ``m`` to the code of each codec string parsed so far
-    (``SAME_BIN`` included); a code does not depend on the scheme. Each new
-    string is parsed once, in document order, so a bad string raises before
-    any later one. It must hold ``m`` integer labels in ``1..m``;
-    realisability is not checked, reports are trusted input.
+    A "1" report holds one object per pair, whose fields are first turned
+    into the lists that a "2" report holds.
     """
-    config = EmbeddingConfig(**d["config"])
-    codes = codes_by_m.setdefault(config.m, {SAME_BIN: _SAME_BIN_CODE})
-    pattern_texts, counterpart_texts, p_forward, p_counterpart, ys = (
-        list(map(itemgetter(key), d["pairs"])) for key in _PAIR_KEYS)
-    for text in dict.fromkeys(chain.from_iterable(zip(pattern_texts,
-                                                      counterpart_texts))):
-        if text not in codes:
-            try:
-                labels = tuple(map(int, text.split(",")))
-            except ValueError:
-                labels = ()
-            codes[text] = _pattern_code(labels, config.m, text)
+    if version == "1":
+        pairs = {key: list(map(itemgetter(key), pairs)) for key in _PAIR_KEYS}
+    if not (isinstance(pairs, dict)
+            and all(isinstance(pairs.get(key), list) for key in _PAIR_KEYS)
+            and len({len(pairs[key]) for key in _PAIR_KEYS}) == 1):
+        raise InvalidParams(
+            f"pairs must hold the lists {', '.join(_PAIR_KEYS)}, of one length")
+    return pairs
+
+
+def _texts_in_order(lists: dict, version: str):
+    """The pattern strings of a report in document order: a "2" report
+    lists its counterparts before its patterns, while a "1" report writes
+    each pair's pattern before its counterpart."""
+    if version == "1":
+        return chain.from_iterable(zip(lists["pattern"], lists["counterpart"]))
+    return chain(lists["counterpart"], lists["pattern"])
+
+
+def _parse_codes(texts: list, m: int) -> np.ndarray | None:
+    """Codes of pattern strings of ``m`` integer labels in ``1..m``, all
+    parsed in one step; None if any text is not such a string.
+
+    numpy parses each label as ``int`` does, except that a label beyond
+    int64, which is out of range anyway, fails to parse.
+    """
+    if not texts:
+        return np.empty(0, dtype=np.int64)
+    try:  # TypeError: a text is not a string
+        if list(map(str.count, texts, repeat(","))).count(m - 1) != len(texts):
+            return None
+        labels = np.array(",".join(texts).split(","), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if labels.min() < 1 or labels.max() > m:
+        return None
+    return labels.reshape(-1, m) @ _code_weights(m)
+
+
+def _document_codes(reports: list, version: str) -> dict:
+    """``m -> {pattern string: code}`` (``SAME_BIN`` included) over the
+    ``(m, pair lists)`` of a document's reports.
+
+    The distinct strings of each ``m`` are parsed in one step. If that
+    fails, the strings are parsed one by one in document order, and the
+    first that is not ``m`` integer labels in ``1..m`` raises
+    :class:`InvalidPattern`.
+    """
+    texts_by_m = {}
+    for m, lists in reports:
+        texts_by_m.setdefault(m, []).append(_texts_in_order(lists, version))
+    codes_by_m = {}
+    for m, texts in texts_by_m.items():
+        try:
+            distinct = dict.fromkeys(chain.from_iterable(texts))
+        except TypeError:  # an unhashable pattern
+            break
+        distinct.pop(SAME_BIN, None)
+        fresh = list(distinct)
+        codes = _parse_codes(fresh, m)
+        if codes is None:
+            break
+        codes_by_m[m] = dict(zip(fresh, codes.tolist()))
+        codes_by_m[m][SAME_BIN] = _SAME_BIN_CODE
+    else:
+        return codes_by_m
+    for m, lists in reports:
+        for text in _texts_in_order(lists, version):
+            if text != SAME_BIN and _parse_codes([text], m) is None:
+                raise InvalidPattern(
+                    f"pattern {text!r} does not have {m} labels in 1..{m}")
+    raise AssertionError("the one-step parse rejected valid pattern strings")
+
+
+def report_from_dict(d: dict, config: EmbeddingConfig, lists: dict,
+                     codes: dict) -> IrreversibilityReport:
+    """Rebuild a report from its document fields, its parsed ``config``,
+    its five pair lists and the ``{pattern string: code}`` map of its m."""
     return IrreversibilityReport(
         kind=d["kind"],
         config=config,
         value=d["value"],
         pairs=PairTable(
-            config.m, config.scheme, list(map(codes.__getitem__, pattern_texts)),
-            list(map(codes.__getitem__, counterpart_texts)),
-            p_forward, p_counterpart, ys),
+            config.m, config.scheme,
+            list(map(codes.__getitem__, lists["pattern"])),
+            list(map(codes.__getitem__, lists["counterpart"])),
+            lists["p_forward"], lists["p_counterpart"], lists["ys"]),
         n_observed_patterns=d["n_observed_patterns"],
         n_forbidden_counterparts=d["n_forbidden_counterparts"],
         n_windows=d["n_windows"],
@@ -183,69 +263,79 @@ def report_from_dict(d: dict, codes_by_m: dict) -> IrreversibilityReport:
 
 # ``json.dumps(..., sort_keys=True, indent=2)`` of a document, built in
 # pieces: the envelope of the document and of each report is rendered with an
-# empty ``reports``/``pairs`` list, whose line is then replaced by the items.
-# Only keys of the document sit at an indent of 2 spaces, and only keys of a
-# report at 6, so each of those lines occurs once in its envelope.
-_REPORT_INDENT = "    "
-_PAIR = (
-    "        {\n"
-    '          "counterpart": %s,\n'
-    '          "p_counterpart": %s,\n'
-    '          "p_forward": %s,\n'
-    '          "pattern": %s,\n'
-    '          "ys": %s\n'
-    "        }"
-)
+# empty ``reports`` list or ``pairs`` object, whose line is then replaced by
+# the items. Only keys of the document sit at an indent of 2 spaces, and only
+# keys of a report at 6, so each of those lines occurs once in its envelope.
+_REPORT_KEY_INDENT = "      "
 _SAME_BIN_TEXT = json.dumps(SAME_BIN)
 
 
-def _splice(envelope: str, indent: str, key: str, items: list[str]) -> str:
-    """Put ``items`` in place of the empty list of ``key`` in ``envelope``."""
-    if not items:
-        return envelope
-    head, slot, tail = envelope.partition(f'\n{indent}"{key}": [],\n')
+def _splice(envelope: str, indent: str, key: str, empty: str, text: str) -> str:
+    """Put ``text`` in place of the ``empty`` value of ``key`` in ``envelope``."""
+    head, slot, tail = envelope.partition(f'\n{indent}"{key}": {empty},\n')
     assert slot, key
-    return "".join((head, f'\n{indent}"{key}": [\n', ",\n".join(items),
-                    f"\n{indent}],\n", tail))
+    return f'{head}\n{indent}"{key}": {text},\n{tail}'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """The JSON texts ``items`` as the list ``json.dumps`` writes at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _memoised(memo: dict, keys: np.ndarray, render) -> list[str]:
+    """The text of each int64 key; ``render`` makes the texts of the
+    distinct keys not yet in ``memo``, all in one call."""
+    distinct, index = np.unique(keys, return_inverse=True)
+    distinct = distinct.tolist()
+    fresh = [key for key in distinct if key not in memo]
+    memo.update(zip(fresh, render(np.array(fresh, dtype=np.int64))))
+    texts = np.array(list(map(memo.__getitem__, distinct)), dtype=object)
+    return texts[index].tolist()
 
 
 class _PairTexts:
-    """Each pair of a :class:`PairTable` as ``json.dumps`` writes it.
+    """The ``pairs`` object of a :class:`PairTable` as ``json.dumps`` writes it.
 
-    The pairs are rendered from the table's columns: the label text of each
-    distinct code once per document, and the text of each distinct float
-    memoised across the document. A zero is formatted each time, since
-    ``0.0`` and ``-0.0`` share a key.
+    Each list is rendered from the table's columns: the label text of each
+    distinct code once per document and ``m``, and the text of each
+    distinct float once per document, keyed by its bits (so ``0.0`` and
+    ``-0.0`` keep their own texts).
     """
 
     def __init__(self):
-        self._numbers, self._codes = {}, {}
-
-    def number(self, value: float) -> str:
-        text = self._numbers.get(value)
-        if text is None or not value:
-            text = self._numbers[value] = (float.__repr__(value)
-                                           if math.isfinite(value)
-                                           else json.dumps(value))
-        return text
+        self._codes, self._numbers = {}, {}
 
     def _codes_text(self, m: int, codes: np.ndarray) -> list[str]:
-        texts = self._codes.setdefault(m, {_SAME_BIN_CODE: _SAME_BIN_TEXT})
-        codes = codes.tolist()
-        fresh = [code for code in dict.fromkeys(codes) if code not in texts]
-        label = '"' + ",".join(["%d"] * m) + '"'
-        texts.update(zip(fresh, [
-            label % tuple(row)
-            for row in _code_digits(np.array(fresh, dtype=np.int64), m).tolist()]))
-        return list(map(texts.__getitem__, codes))
+        lines = ('"' + ",".join(["%d"] * m) + '"\n')
 
-    def lines(self, pairs: PairTable) -> list[str]:
-        return list(map(_PAIR.__mod__, zip(
-            self._codes_text(pairs.m, pairs.counterpart_codes),
-            map(self.number, pairs.p_counterpart.tolist()),
-            map(self.number, pairs.p_forward.tolist()),
-            self._codes_text(pairs.m, pairs.codes),
-            map(self.number, pairs.ys.tolist()))))
+        def render(fresh):  # one format operation, split into lines
+            digits = tuple(_code_digits(fresh, m).ravel().tolist())
+            return (lines * len(fresh) % digits).split("\n")[:-1]
+
+        return _memoised(self._codes.setdefault(
+            m, {_SAME_BIN_CODE: _SAME_BIN_TEXT}), codes, render)
+
+    def _numbers_text(self, column: np.ndarray) -> list[str]:
+        return _memoised(self._numbers, column.view(np.int64), lambda fresh: map(
+            _float_text, fresh.view(np.float64).tolist()))
+
+    def text(self, pairs: PairTable, indent: str) -> str:
+        inner = indent + "  "
+        lists = (self._codes_text(pairs.m, pairs.counterpart_codes),
+                 self._numbers_text(pairs.p_counterpart),
+                 self._numbers_text(pairs.p_forward),
+                 self._codes_text(pairs.m, pairs.codes),
+                 self._numbers_text(pairs.ys))
+        return "{\n" + ",\n".join(
+            f'{inner}"{key}": {_json_list(items, inner)}'
+            for key, items in zip(_PAIR_KEYS, lists)) + "\n" + indent + "}"
 
 
 def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
@@ -256,20 +346,26 @@ def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
         "n_windows": report.n_windows,
         "n_observed_patterns": report.n_observed_patterns,
         "n_forbidden_counterparts": report.n_forbidden_counterparts,
-        "pairs": [],
-    }, sort_keys=True, indent=2)
-    envelope = _REPORT_INDENT + envelope.replace("\n", "\n" + _REPORT_INDENT)
-    return _splice(envelope, _REPORT_INDENT + "  ", "pairs",
-                   texts.lines(report.pairs))
+        "pairs": {},
+    }, sort_keys=True, indent=2).replace("\n", "\n    ")
+    return _splice(envelope, _REPORT_KEY_INDENT, "pairs", "{}",
+                   texts.text(report.pairs, _REPORT_KEY_INDENT))
 
 
 def write_report(doc: ReportDocument, path: str) -> None:
     """Serialize a document as sorted-key UTF-8 JSON; durable on return.
 
-    The bytes are those of ``json.dumps(..., sort_keys=True, indent=2)``
-    plus a newline. Only the envelope goes through ``json``; the pairs of
-    every report are rendered through one fixed template.
+    Only schema :data:`SCHEMA_VERSION` ("2") is written; a document of any
+    other version raises :class:`InvalidParams`. Each report's ``pairs`` is
+    an object of five lists of one length, ``counterpart``,
+    ``p_counterpart``, ``p_forward``, ``pattern`` and ``ys``. The bytes are
+    those of ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline.
+    Only the envelope goes through ``json``; the lists are rendered straight
+    from the columns of each report's :class:`PairTable`.
     """
+    if doc.schema_version != SCHEMA_VERSION:
+        raise InvalidParams(f"only schema_version {SCHEMA_VERSION!r} is "
+                            f"written, got {doc.schema_version!r}")
     texts = _PairTexts()
     envelope = json.dumps({
         "schema_version": doc.schema_version,
@@ -278,27 +374,41 @@ def write_report(doc: ReportDocument, path: str) -> None:
         "verdicts": [asdict(v) for v in doc.verdicts],
     }, sort_keys=True, indent=2) + "\n"
     reports = [_report_text(r, texts) for r in doc.reports]
-    _durable_write(path, _splice(envelope, "  ", "reports", reports))
+    _durable_write(path, _splice(envelope, "  ", "reports", "[]",
+                                 _json_list(reports, "  ")))
 
 
 def read_report(path: str) -> ReportDocument:
-    """Load a report document written by :func:`write_report`.
+    """Load a report document of schema "1" or "2".
 
-    Each distinct pattern string is parsed once per document and ``m``, and
-    must hold ``m`` integer labels in ``1..m``, else :class:`InvalidPattern`
-    is raised; a pair value or report field of the wrong type raises
-    :class:`InvalidParams`. Reports are otherwise trusted input: neither the
-    realisability of a pattern nor the numbers are re-checked. Each table
-    decodes its own codes when its pairs are first read.
+    The document keeps the version its file holds; any other version raises
+    :class:`InvalidParams`. A "1" report's pair objects are first turned
+    into the five lists of a "2" report, which must have one length, else
+    :class:`InvalidParams`. The distinct pattern strings of the document
+    are parsed in one step per ``m``, and each must hold ``m`` integer
+    labels in ``1..m``, else the first bad string in document order raises
+    :class:`InvalidPattern`; so does ``SAME_BIN`` as a pattern. A pair value
+    or report field of the wrong type raises :class:`InvalidParams`.
+    Reports are otherwise trusted input: neither the realisability of a
+    pattern nor the numbers are re-checked. Each table decodes its own
+    codes when its pairs are first read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    codes_by_m = {}
+    version = d["schema_version"]
+    if version not in _READABLE_VERSIONS:
+        raise InvalidParams(f"schema_version must be one of "
+                            f"{_READABLE_VERSIONS}, got {version!r}")
+    reports = [(r, EmbeddingConfig(**r["config"]),
+                _pair_lists(r["pairs"], version)) for r in d["reports"]]
+    codes_by_m = _document_codes(
+        [(config.m, lists) for _, config, lists in reports], version)
     return ReportDocument(
         provenance=d["provenance"],
-        reports=[report_from_dict(r, codes_by_m) for r in d["reports"]],
+        reports=[report_from_dict(r, config, lists, codes_by_m[config.m])
+                 for r, config, lists in reports],
         verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
-        schema_version=d["schema_version"],
+        schema_version=version,
     )
 
 

@@ -165,26 +165,32 @@ class PairContribution:
 _SAME_BIN_CODE = -1  # the counterpart code of a SAME_BIN pair
 
 
-def _value_column(name: str, values, n: int) -> np.ndarray:
-    """``n`` bools, ints or floats as float64, else :class:`InvalidParams`."""
+def _column(name: str, values, kinds: str, wanted: str, dtype,
+            n: int | None = None) -> np.ndarray:
+    """A 1-D ``dtype`` column of values of the dtype kinds ``kinds`` (and
+    of length ``n``, unless None), else :class:`InvalidParams`. An empty
+    column passes whatever its dtype: numpy makes ``[]`` float64."""
     try:
         column = np.asarray(values)
     except ValueError:  # a ragged nesting
         column = np.asarray(None)
-    if column.dtype.kind not in "biuf" or column.shape != (n,):
-        raise InvalidParams(
-            f"{name} must be a 1-D column of {n} bools, ints or floats")
-    return column.astype(np.float64, copy=False)
+    if (column.ndim != 1 or n not in (None, len(column))
+            or len(column) and column.dtype.kind not in kinds):
+        length = "" if n is None else f"{n} "
+        raise InvalidParams(f"{name} must be a 1-D column of {length}{wanted}")
+    return column.astype(dtype, copy=False)
 
 
 class PairTable(Sequence):
     """The pairs of a report as columns, read as ``PairContribution``s.
 
     ``codes`` and ``counterpart_codes`` are int64 pattern codes (-1 for
-    ``SAME_BIN``, a counterpart only); ``p_forward``, ``p_counterpart`` and
-    ``ys`` are float64 arrays of the same length, converted once by the
-    constructor from bools, ints or floats. :meth:`of` builds a checked
-    table from ``PairContribution``s. The ``PairContribution`` list is
+    ``SAME_BIN``, a counterpart only), given as 1-D integer columns of one
+    length; ``p_forward``, ``p_counterpart`` and ``ys`` are float64 arrays
+    of that length, converted once by the constructor from bools, ints or
+    floats; a column of another shape or type raises
+    :class:`InvalidParams`. :meth:`of` builds a checked table from
+    ``PairContribution``s. The ``PairContribution`` list is
     built on first element access or iteration, which decodes each distinct
     code of the table once. Two tables are equal when their columns are;
     any two empty tables are equal.
@@ -193,14 +199,16 @@ class PairTable(Sequence):
     def __init__(self, m: int, scheme: str, codes, counterpart_codes,
                  p_forward, p_counterpart, ys):
         self.m, self.scheme = m, scheme
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.counterpart_codes = np.asarray(counterpart_codes, dtype=np.int64)
+        self.codes = _column("codes", codes, "iu", "integer codes", np.int64)
+        n = len(self.codes)
+        self.counterpart_codes = _column("counterpart_codes", counterpart_codes,
+                                         "iu", "integer codes", np.int64, n)
         if (self.codes == _SAME_BIN_CODE).any():
             raise InvalidPattern(f"{SAME_BIN!r} is allowed only as a counterpart")
-        n = len(self.codes)
-        self.p_forward = _value_column("p_forward", p_forward, n)
-        self.p_counterpart = _value_column("p_counterpart", p_counterpart, n)
-        self.ys = _value_column("ys", ys, n)
+        self.p_forward, self.p_counterpart, self.ys = (
+            _column(name, values, "biuf", "bools, ints or floats", np.float64, n)
+            for name, values in (("p_forward", p_forward),
+                                 ("p_counterpart", p_counterpart), ("ys", ys)))
         self._pairs = None
 
     @classmethod

@@ -16,9 +16,12 @@ compare with :func:`irrev.measures.measure`. :func:`reference_pairs` is its
 ``PairTable``.
 
 :func:`reference_report_text` and :func:`reference_read_series` are the
-earlier report writer (``json.dumps`` of the whole document) and the earlier
-line-by-line reader of plain series files, kept as the references of
-:func:`irrev.io.write_report` and :func:`irrev.io.read_series`.
+earlier report writer (``json.dumps`` of the whole document, in the
+per-pair row layout of schema "1" or the column layout of schema "2") and
+the earlier line-by-line reader of plain series files, kept as the
+references of :func:`irrev.io.write_report` and
+:func:`irrev.io.read_series`. :func:`reference_pattern_code` is the earlier
+per-string pattern parse of :func:`irrev.io.read_report`.
 """
 
 from __future__ import annotations
@@ -245,7 +248,17 @@ def _pair_to_dict(pair: PairContribution) -> dict:
     }
 
 
-def _report_to_dict(report: IrreversibilityReport) -> dict:
+def _pairs_to_dict(pairs, schema_version: str):
+    """Schema "1": one object per pair; "2": one list per pair field."""
+    rows = [_pair_to_dict(p) for p in pairs]
+    if schema_version == "1":
+        return rows
+    return {key: [row[key] for row in rows]
+            for key in ("pattern", "counterpart", "p_forward",
+                        "p_counterpart", "ys")}
+
+
+def _report_to_dict(report: IrreversibilityReport, schema_version: str) -> dict:
     return {
         "kind": report.kind,
         "config": asdict(report.config),
@@ -253,7 +266,7 @@ def _report_to_dict(report: IrreversibilityReport) -> dict:
         "n_windows": report.n_windows,
         "n_observed_patterns": report.n_observed_patterns,
         "n_forbidden_counterparts": report.n_forbidden_counterparts,
-        "pairs": [_pair_to_dict(p) for p in report.pairs],
+        "pairs": _pairs_to_dict(report.pairs, schema_version),
     }
 
 
@@ -261,14 +274,31 @@ def _document_to_dict(doc) -> dict:
     return {
         "schema_version": doc.schema_version,
         "provenance": doc.provenance,
-        "reports": [_report_to_dict(r) for r in doc.reports],
+        "reports": [_report_to_dict(r, doc.schema_version)
+                    for r in doc.reports],
         "verdicts": [asdict(v) for v in doc.verdicts],
     }
 
 
 def reference_report_text(doc) -> str:
-    """The text of a ``ReportDocument`` as ``json.dumps`` renders it."""
+    """The text of a ``ReportDocument`` as ``json.dumps`` renders it, in the
+    layout of its ``schema_version``: "1" or "2"."""
     return json.dumps(_document_to_dict(doc), sort_keys=True, indent=2) + "\n"
+
+
+def reference_pattern_code(text, m: int):
+    """The code of a pattern string parsed label by label with ``int``, as
+    the report reader once did, or None if it is not ``m`` labels in 1..m."""
+    try:
+        labels = [int(label) for label in text.split(",")]
+    except ValueError:
+        return None
+    if len(labels) != m or not all(1 <= label <= m for label in labels):
+        return None
+    code = 0
+    for label in labels:
+        code = code * (m + 1) + label
+    return code
 
 
 def _parse_sample(text: str, line_no: int) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -79,7 +80,7 @@ class TestAnalyze:
         assert code == 0
         assert stdout == "TIR 3 1 1\nAIR 3 1 1\n"
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert [r["value"] for r in doc["reports"]] == [1.0, 1.0]
         assert doc["provenance"]["input"] == increasing_file
 
@@ -228,6 +229,30 @@ class TestReproModels:
                         f"{percentile_nearest_rank(ens, 2.5):.17g},"
                         f"{percentile_nearest_rank(ens, 97.5):.17g}")
         assert rows[1:] == expected
+
+    # sha256 of every file of one reduced run; report.json is schema "2".
+    PINNED = {
+        "table.csv":
+            "59c8e2fd441c9c55792f08188f160f28ec01121a2254443930e6066d912240d6",
+        "logistic.txt":
+            "2f36eadb91d1b69e90b27df37c14189882846b10b1d08057bbb50ffad0b1c972",
+        "henon.txt":
+            "0387a82d903423d88f5d1b605a2f9e1ff3f2ddbfb2600a9b5459db1d68a0fbce",
+        "gaussian.txt":
+            "094ca423ef3822530e1a2c378dc08a33d57cb176ace65aa8e26a5c86649d80b2",
+        "report.json":
+            "e8f45cf0b4196107c257525bd6ca8fd2192b8ec53978e093bca267cb1734ed64",
+    }
+
+    def test_pinned_run(self, capsys, tmp_path):
+        out_dir = tmp_path / "repro"
+        code, _, _ = run(capsys, "repro-models", "--out-dir", str(out_dir),
+                         "--seed", "3", "--n", "8192", "--n-surrogates", "30",
+                         "--m-max", "7")
+        assert code == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes())
+                   .hexdigest() for name in self.PINNED}
+        assert digests == self.PINNED
 
     def test_streams_members_and_shares_histograms(self, capsys, tmp_path,
                                                     monkeypatch):

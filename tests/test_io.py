@@ -31,7 +31,8 @@ from irrev.io import (
 from irrev import io as irrev_io
 from irrev.measures import SAME_BIN
 
-from oracle import reference_read_series, reference_report_text
+from oracle import (reference_pattern_code, reference_read_series,
+                    reference_report_text)
 
 
 class TestReadSeries:
@@ -96,6 +97,43 @@ class TestWriteSeries:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(EmptyFile):
             write_series([], str(tmp_path / "empty.txt"))
+        with pytest.raises(EmptyFile):
+            write_series(np.array([]), str(tmp_path / "empty.txt"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad, named", [
+        ([1.0, float("nan"), float("inf")], "nan"),
+        ([float("-inf"), 1.0], "-inf"), (np.array([0.0, np.inf]), "inf")])
+    def test_non_finite_rejected(self, tmp_path, bad, named):
+        with pytest.raises(NonFiniteSample) as err:
+            write_series(bad, str(tmp_path / "bad.txt"))
+        assert str(err.value) == f"non-finite sample {named}"
+        assert os.listdir(tmp_path) == []
+
+    def test_two_dimensional_series_rejected(self, tmp_path):
+        with pytest.raises(InvalidParams, match="one-dimensional"):
+            write_series(np.zeros((3, 2)), str(tmp_path / "2d.txt"))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                         0.1, 1e16, 1e17, 123456789012345678.0]),
+        st.integers(-2**60, 2**60)), min_size=1, max_size=30))
+    def test_bytes_equal_per_value_rendering(self, tmp_path, samples):
+        path = tmp_path / "s.txt"
+        write_series(samples, str(path))
+        expected = "".join(irrev_io._fmt(float(v)) + "\n" for v in samples)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_benchmark_series_bytes(self, tmp_path, logistic_series,
+                                    gaussian_series):
+        path = tmp_path / "s.txt"
+        for x in (logistic_series, np.round(gaussian_series, 1)):
+            write_series(x, str(path))
+            expected = "".join(irrev_io._fmt(float(v)) + "\n" for v in x)
+            assert path.read_text() == expected
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"
@@ -144,6 +182,22 @@ def _assert_same_reports(back, reports):
             for f in dataclasses.fields(p):
                 u, v = getattr(p, f.name), getattr(q, f.name)
                 assert u == v or (u != u and v != v), (f.name, u, v)
+
+
+def _pair_count(pairs) -> int:
+    """The number of pairs of a "1" row list or of "2" lists."""
+    return len(pairs) if isinstance(pairs, list) else len(pairs["pattern"])
+
+
+def _pair_field(pairs, i, key):
+    return pairs[i][key] if isinstance(pairs, list) else pairs[key][i]
+
+
+def _set_pair_field(pairs, i, key, value):
+    if isinstance(pairs, list):
+        pairs[i][key] = value
+    else:
+        pairs[key][i] = value
 
 
 class TestReportDocument:
@@ -202,38 +256,92 @@ class TestReportDocument:
         loaded = read_report(str(path))
         assert loaded.reports[0].value == 0.0
 
+    def _json(self, tmp_path, version):
+        """The JSON of the document in schema ``version``: "2" as
+        ``write_report`` writes it, "1" as the oracle renders it."""
+        doc = self._document()
+        if version == "1":
+            return json.loads(reference_report_text(
+                dataclasses.replace(doc, schema_version="1")))
+        path = tmp_path / "written.json"
+        write_report(doc, str(path))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("version", ["1", "2"])
     @pytest.mark.parametrize("field, bad", [
         ("pattern", "9,9,9"), ("pattern", "1,2"), ("pattern", "1,2,3,1"),
         ("pattern", "0,1,2"), ("pattern", "a,b,c"), ("counterpart", "1,2,4"),
+        ("pattern", "99999999999999999999,1,2"), ("pattern", ""),
+        ("counterpart", "1,,2"),
     ])
-    def test_malformed_pattern_rejected(self, tmp_path, field, bad):
+    def test_malformed_pattern_rejected(self, tmp_path, field, bad, version):
         path = tmp_path / "bad.json"
-        write_report(self._document(), str(path))
-        doc = json.loads(path.read_text())
-        pair = next(p for p in doc["reports"][1]["pairs"]
-                    if p["counterpart"] != "same-bin")
-        pair[field] = bad
+        doc = self._json(tmp_path, version)
+        pairs = doc["reports"][1]["pairs"]
+        i = next(i for i in range(_pair_count(pairs))
+                 if _pair_field(pairs, i, "counterpart") != "same-bin")
+        _set_pair_field(pairs, i, field, bad)
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidPattern, match="labels in 1..3"):
             read_report(str(path))
 
-    def test_same_bin_only_as_counterpart(self, tmp_path):
+    @pytest.mark.parametrize("version", ["1", "2"])
+    @pytest.mark.parametrize("field", ["pattern", "counterpart"])
+    @pytest.mark.parametrize("bad", [5, [1, 2, 3], None, {"a": 1}, 1.5])
+    def test_non_string_pattern_rejected(self, tmp_path, version, field, bad):
         path = tmp_path / "bad.json"
-        write_report(self._document(), str(path))
-        doc = json.loads(path.read_text())
-        doc["reports"][1]["pairs"][-1]["pattern"] = SAME_BIN
+        doc = self._json(tmp_path, version)
+        _set_pair_field(doc["reports"][0]["pairs"], 1, field, bad)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidPattern, match="labels in 1..3"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_same_bin_only_as_counterpart(self, tmp_path, version):
+        path = tmp_path / "bad.json"
+        doc = self._json(tmp_path, version)
+        _set_pair_field(doc["reports"][1]["pairs"], -1, "pattern", SAME_BIN)
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidPattern, match="only as a counterpart"):
             read_report(str(path))
 
+    @pytest.mark.parametrize("version", ["1", "2"])
     @pytest.mark.parametrize("value", [None, "0.5", [1], 2**70])
-    def test_non_numeric_pair_value_rejected(self, tmp_path, value):
+    def test_non_numeric_pair_value_rejected(self, tmp_path, value, version):
         path = tmp_path / "bad.json"
-        write_report(self._document(), str(path))
-        doc = json.loads(path.read_text())
-        doc["reports"][0]["pairs"][0]["ys"] = value
+        doc = self._json(tmp_path, version)
+        _set_pair_field(doc["reports"][0]["pairs"], 0, "ys", value)
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidParams, match="ys must be"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("key", ["pattern", "counterpart", "p_forward",
+                                     "p_counterpart", "ys"])
+    @pytest.mark.parametrize("change", ["shorter", "longer", "missing",
+                                        "not a list"])
+    def test_pair_lists_of_other_lengths_rejected(self, tmp_path, key,
+                                                  change):
+        path = tmp_path / "bad.json"
+        doc = self._json(tmp_path, "2")
+        pairs = doc["reports"][1]["pairs"]
+        if change == "shorter":
+            pairs[key].pop()
+        elif change == "longer":
+            pairs[key].append(pairs[key][0])
+        elif change == "missing":
+            del pairs[key]
+        else:
+            pairs[key] = pairs[key][0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match="pairs must hold the lists"):
+            read_report(str(path))
+
+    def test_rows_in_a_version_2_document_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = self._json(tmp_path, "1")
+        doc["schema_version"] = "2"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match="pairs must hold the lists"):
             read_report(str(path))
 
     def test_hand_built_values_are_written_as_floats(self, tmp_path):
@@ -247,11 +355,12 @@ class TestReportDocument:
             assert column.dtype == np.float64
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         write_report(ReportDocument(provenance={}, reports=[hand]), str(first))
-        text = first.read_text()
-        assert text.count('"p_forward": 1.0,') == 1
-        assert text.count('"p_counterpart": 1.0,') == 1
-        assert text.count('"p_forward": 0.0,') == 1
-        assert text.count('"ys": 0.0\n') == 1
+        written = json.loads(first.read_text())["reports"][0]["pairs"]
+        assert written["p_forward"] == [1.0, 0.0]
+        assert written["p_counterpart"] == [1.0, 0.0]
+        assert written["ys"] == [0.25, 0.0]
+        assert all(type(v) is float for key in ("p_forward", "p_counterpart",
+                                                "ys") for v in written[key])
         back = read_report(str(first))
         assert back.reports == [hand]
         write_report(back, str(second))
@@ -259,8 +368,7 @@ class TestReportDocument:
 
     def test_first_bad_string_in_document_order_named(self, tmp_path):
         path = tmp_path / "bad.json"
-        write_report(self._document(), str(path))
-        doc = json.loads(path.read_text())
+        doc = self._json(tmp_path, "1")
         pairs = [p for p in doc["reports"][1]["pairs"]
                  if p["counterpart"] != "same-bin"]
         pairs[0]["counterpart"] = "1,2,4"
@@ -269,23 +377,47 @@ class TestReportDocument:
         with pytest.raises(InvalidPattern, match="'1,2,4'"):
             read_report(str(path))
 
-    def test_patterns_parsed_once_per_document(self, tmp_path, monkeypatch):
+    def test_first_bad_string_in_version_2_order_named(self, tmp_path):
+        # A "2" report lists all its counterparts before its patterns, so a
+        # bad counterpart of a later pair is named before a bad pattern of
+        # an earlier one; a "1" report names the pattern.
+        path = tmp_path / "bad.json"
+        for version, named in (("2", "'1,2,4'"), ("1", "'9,9,9'")):
+            doc = self._json(tmp_path, version)
+            pairs = doc["reports"][1]["pairs"]
+            paired = [i for i in range(_pair_count(pairs))
+                      if _pair_field(pairs, i, "counterpart") != "same-bin"]
+            _set_pair_field(pairs, paired[0], "pattern", "9,9,9")
+            _set_pair_field(pairs, paired[1], "counterpart", "1,2,4")
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidPattern, match=named):
+                read_report(str(path))
+            # An earlier report's bad string is named first.
+            _set_pair_field(doc["reports"][0]["pairs"], 0, "pattern", "3,3,4")
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidPattern, match="'3,3,4'"):
+                read_report(str(path))
+
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_patterns_parsed_once_per_document(self, tmp_path, monkeypatch,
+                                               version):
         path = tmp_path / "r.json"
-        write_report(self._document(), str(path))
+        doc = self._json(tmp_path, version)
+        path.write_text(json.dumps(doc))
         parsed = []
-        real = irrev_io._pattern_code
+        real = irrev_io._parse_codes
 
-        def counting(labels, m, text):
-            parsed.append(text)
-            return real(labels, m, text)
+        def counting(texts, m):
+            parsed.extend(texts)
+            return real(texts, m)
 
-        monkeypatch.setattr(irrev_io, "_pattern_code", counting)
+        monkeypatch.setattr(irrev_io, "_parse_codes", counting)
         tir, air = read_report(str(path)).reports
         assert tir.pairs[0].pattern.labels == air.pairs[0].pattern.labels
         assert tir.pairs[0].pattern == air.pairs[0].pattern
-        doc = json.loads(path.read_text())
-        strings = {pair[key] for report in doc["reports"]
-                   for pair in report["pairs"]
+        strings = {_pair_field(report["pairs"], i, key)
+                   for report in doc["reports"]
+                   for i in range(_pair_count(report["pairs"]))
                    for key in ("pattern", "counterpart")} - {"same-bin"}
         assert sorted(parsed) == sorted(strings)
 
@@ -332,7 +464,7 @@ class TestReportDocument:
     }
   },
   "reports": [],
-  "schema_version": "1",
+  "schema_version": "2",
   "verdicts": [
     {
       "original_value": 0.5,
@@ -364,7 +496,87 @@ class TestReportDocument:
     def test_schema_version(self, tmp_path):
         path = tmp_path / "v.json"
         write_report(self._document(), str(path))
-        assert read_report(str(path)).schema_version == "1"
+        assert read_report(str(path)).schema_version == "2"
+
+    def test_version_1_is_read_as_version_1(self, tmp_path):
+        path = tmp_path / "v1.json"
+        doc = self._document()
+        path.write_text(reference_report_text(
+            dataclasses.replace(doc, schema_version="1")))
+        back = read_report(str(path))
+        assert back.schema_version == "1"
+        assert back.reports == doc.reports
+        with pytest.raises(InvalidParams, match="only schema_version '2'"):
+            write_report(back, str(tmp_path / "again.json"))
+        assert not (tmp_path / "again.json").exists()
+
+    @pytest.mark.parametrize("version", ["0", "3", "1.0", 2, None, ["2"]])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "v.json"
+        doc = self._json(tmp_path, "2")
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match="schema_version must be"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("version", ["1", "3", 2, None])
+    def test_only_version_2_is_written(self, tmp_path, version):
+        doc = dataclasses.replace(self._document(), schema_version=version)
+        with pytest.raises(InvalidParams, match="only schema_version '2'"):
+            write_report(doc, str(tmp_path / "v.json"))
+        assert os.listdir(tmp_path) == []
+
+
+_LABEL = st.one_of(
+    st.integers(-2, 16).map(str),
+    st.text(alphabet="0123456789+-_ \t", max_size=4),
+    st.integers(-2**80, 2**80).map(str),
+    st.sampled_from(["", " 1", "2 ", "+1", "-0", "01", "1_0", "_1", "1__2",
+                     "1.0", "0x1", "1e0", "\u0663", "\uff11", "\t2\n", "\u20073",
+                     "9223372036854775808", "-9223372036854775809",
+                     "9" * 5000]))
+
+
+@st.composite
+def _pattern_texts(draw):
+    m = draw(st.integers(2, 15))
+    good = st.integers(1, m).map(str)
+    near = st.one_of(good, st.integers(-1, m + 1).map(str), _LABEL)
+    text = st.one_of(
+        st.lists(good, min_size=m, max_size=m),
+        st.lists(good, min_size=m - 1, max_size=m + 1),
+        st.lists(near, min_size=m, max_size=m),
+        st.lists(_LABEL, min_size=1, max_size=m + 1)).map(",".join)
+    return m, draw(st.lists(text, min_size=1, max_size=6))
+
+
+class TestParseCodesMatchesIntParse:
+    """The one-step pattern parse accepts and rejects what ``int`` did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_pattern_texts())
+    def test_same_codes_and_rejections(self, case):
+        m, texts = case
+        expected = [reference_pattern_code(text, m) for text in texts]
+        for text, code in zip(texts, expected):
+            got = irrev_io._parse_codes([text], m)
+            assert (None if got is None else got.tolist()) == (
+                None if code is None else [code]), text
+        got = irrev_io._parse_codes(texts, m)
+        if None in expected:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == expected
+
+    def test_no_texts(self):
+        assert irrev_io._parse_codes([], 3).tolist() == []
+
+    def test_label_count_is_checked_per_string(self):
+        # Six labels in all, as two strings of 3 would have.
+        assert irrev_io._parse_codes(["1,2", "3,1,2,3"], 3) is None
+        assert irrev_io._parse_codes(["1,2,3", "3,1,2"], 3).tolist() == [
+            reference_pattern_code("1,2,3", 3),
+            reference_pattern_code("3,1,2", 3)]
 
 
 class TestSweepCsv:

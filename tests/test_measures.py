@@ -26,13 +26,13 @@ from irrev import (
     ys_divergence,
 )
 from irrev import measures, ordinal
-from irrev.io import ReportDocument, write_report
+from irrev.io import ReportDocument, read_report, write_report
 from irrev.measures import SAME_BIN, PairContribution, PairTable
 
 from conftest import random_series_with_ties
 from oracle import (_ordinal_labels, _window_tied,
                     measure_by_definition_oracle, reference_measure,
-                    reference_pairs)
+                    reference_pairs, reference_report_text)
 
 
 class TestBuildHistogram:
@@ -562,6 +562,37 @@ class TestHandBuiltPairs:
         with pytest.raises(InvalidParams, match="p_forward must be"):
             PairTable(3, "equal-value", [5], [-1], 0.5, [0.5], [0.0])
 
+    @pytest.mark.parametrize("codes, counterpart_codes, name", [
+        ([5, 6], [7], "counterpart_codes"),        # shorter
+        ([5], [7, 8], "counterpart_codes"),        # longer
+        ([5], [], "counterpart_codes"),            # empty beside one code
+        ([], [7], "counterpart_codes"),
+        ([5], [[7]], "counterpart_codes"),         # 2-D
+        ([[5]], [7], "codes"),
+        (np.array([[5, 6]]), [7, 8], "codes"),
+        (5, 7, "codes"),                           # 0-D
+        ([5], 7, "counterpart_codes"),
+        ([5.0], [7], "codes"),                     # not integers
+        ([5], [7.0], "counterpart_codes"),
+        ([True], [7], "codes"),
+        (["5"], [7], "codes"),
+        ([5], [None], "counterpart_codes"),
+        ([[5], [6, 7]], [7, 8], "codes"),          # ragged
+    ])
+    def test_code_columns_of_other_shapes_are_invalid_params(
+            self, codes, counterpart_codes, name):
+        n = 2 if isinstance(codes, np.ndarray) else 1
+        with pytest.raises(InvalidParams, match=f"^{name} must be a 1-D"):
+            PairTable(3, "original", codes, counterpart_codes, [0.1] * n,
+                      [0.1] * n, [0.0] * n)
+
+    def test_integer_code_columns_are_int64(self):
+        pairs = PairTable(3, "original", np.array([5, 6], dtype=np.uint8),
+                          np.array([7, -1], dtype=np.int32), [0.1, 0.2],
+                          [0.1, 0.2], [0, 0])
+        assert pairs.codes.dtype == pairs.counterpart_codes.dtype == np.int64
+        assert len(pairs) == len(list(pairs)) == 2
+
 
 class TestReportFields:
     """A report stores a float value and int counts, or raises InvalidParams."""
@@ -612,8 +643,10 @@ class TestReportFields:
 
 class TestReportBytes:
     # sha256 of the report document of one TIR and one AIR report at m=5,
-    # tau=2; frozen from the dict-based decomposition.
-    DIGESTS = {
+    # tau=2. The schema "1" digests were frozen from the dict-based
+    # decomposition; the "1" texts, rendered by the oracle, are the reader
+    # fixtures of the "2" digests.
+    V1_DIGESTS = {
         ("tied", "equal-value"):
             "61e6eeca0cc45513f2d51f7718d74147a67a06f9a0afe50bce05ce824ad0d52c",
         ("tied", "original"):
@@ -622,6 +655,16 @@ class TestReportBytes:
             "ab91e5fde04ed5236aab6c16abca5d200b4018a57690bca841e61ff65e37274c",
         ("logistic", "original"):
             "e582cc23e0c96d25a6a8db8c46d9275f2bb824269431f24bebd0108f410afe47",
+    }
+    DIGESTS = {
+        ("tied", "equal-value"):
+            "7086ece884a0f2a49f2061bf540d95f358b32de6f2325651e152e8d74fc6cb48",
+        ("tied", "original"):
+            "a9f5bf4204ad4bac9fa7c3b52e8b8f7df0bd5de66014d069d5c9ec1bb080ba97",
+        ("logistic", "equal-value"):
+            "1dae2aa3a3bbcb5c599a4179f362bee56f5d0dd40387de890a5157af3dddcbc3",
+        ("logistic", "original"):
+            "05d714dd0ebc4f8a2bc6622de56ec9f6b8f6082a573601a1983fcc385f559de9",
     }
 
     @pytest.mark.parametrize("name, scheme", sorted(DIGESTS))
@@ -637,6 +680,19 @@ class TestReportBytes:
         write_report(doc, str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.DIGESTS[(name, scheme)]
+
+        v1 = tmp_path / "report-v1.json"
+        v1.write_text(reference_report_text(
+            dataclasses.replace(doc, schema_version="1")), encoding="utf-8")
+        digest = hashlib.sha256(v1.read_bytes()).hexdigest()
+        assert digest == self.V1_DIGESTS[(name, scheme)]
+        back = read_report(str(v1))
+        assert back.schema_version == "1"
+        assert back.reports == doc.reports and back.provenance == doc.provenance
+        rewritten = tmp_path / "rewritten.json"
+        write_report(dataclasses.replace(back, schema_version="2"),
+                     str(rewritten))
+        assert rewritten.read_bytes() == path.read_bytes()
 
 
 class TestHistogramDigest:
