@@ -126,8 +126,10 @@ def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
         "henon": {"alpha": alpha, "beta": beta, "x1": x1, "y1": y1},
         "gaussian": {"mean": mean, "sd": sd, "seed": seed},
     }[model]
-    series = generate_series(ModelSpec(kind=model, n=n, burn_in=burn_in,
-                                       params=params))
+    try:
+        series = generate_series(ModelSpec(model, n, burn_in, params))
+    except MemoryError:
+        raise InvalidParams(f"--n {n} needs more memory than is available") from None
     dio.write_series(series, out)
     click.echo(f"{model} {n} {seed if seed is not None else '-'}")
 

@@ -3,7 +3,12 @@
 Errors split into three families that the CLI maps to distinct exit codes:
 usage problems (bad flags), data problems (unreadable or unusable input),
 and numeric problems (degenerate or diverging computations).
+
+Every integer parameter goes through :func:`checked_int`: an integer in bounds,
+numpy's too, comes back as an ``int``; anything else is :class:`InvalidParams`.
 """
+
+from numbers import Integral
 
 
 class IrrevError(Exception):
@@ -63,6 +68,15 @@ class DomainError(IrrevError):
 
 class InvalidParams(IrrevError, ValueError):
     """A parameter or configuration value is out of range (a usage error)."""
+
+
+def checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``int(value)`` for an integer in ``low..high`` (no upper bound if
+    ``high`` is None), else :class:`InvalidParams` naming ``name``."""
+    if isinstance(value, Integral) and low <= value and (high is None or value <= high):
+        return int(value)
+    bounds = f">= {low}" if high is None else f"in {low}..{high}"
+    raise InvalidParams(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 # -- numeric errors -----------------------------------------------------------

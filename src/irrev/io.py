@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
-                     ParseError)
+                     ParseError, checked_int)
 from .measures import _SAME_BIN_CODE, SAME_BIN, IrreversibilityReport, PairTable
 from .ordinal import EmbeddingConfig, _code_digits, _code_weights
 from .surrogates import SurrogateVerdict
@@ -48,8 +48,7 @@ class SeriesFile:
             raise InvalidParams(f"format must be 'plain' or 'csv', got {self.format!r}")
         if len(self.delimiter) != 1:
             raise InvalidParams(f"delimiter must be 1 character, got {self.delimiter!r}")
-        if self.column < 0:
-            raise InvalidParams(f"column must be >= 0, got {self.column}")
+        object.__setattr__(self, "column", checked_int("column", self.column, 0))
 
 
 @dataclass
@@ -388,13 +387,21 @@ def read_report(path: str) -> ReportDocument:
     are parsed in one step per ``m``, and each must hold ``m`` integer
     labels in ``1..m``, else the first bad string in document order raises
     :class:`InvalidPattern`; so does ``SAME_BIN`` as a pattern. A pair value
-    or report field of the wrong type raises :class:`InvalidParams`.
+    or report field of the wrong type raises :class:`InvalidParams`, and so,
+    naming ``path``, does text that is not JSON or a missing or odd field.
     Reports are otherwise trusted input: neither the realisability of a
     pattern nor the numbers are re-checked. Each table decodes its own
     codes when its pairs are first read.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+        try:
+            return _document(json.load(fh))
+        except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+            raise InvalidParams(f"{path} is not a report document: {exc!r}") from exc
+
+
+def _document(d: dict) -> ReportDocument:
+    """The document of the decoded JSON ``d``: see :func:`read_report`."""
     version = d["schema_version"]
     if version not in _READABLE_VERSIONS:
         raise InvalidParams(f"schema_version must be one of "

@@ -9,15 +9,16 @@ on the exact samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DivergedOrbit, InvalidParams
+from .errors import DivergedOrbit, InvalidParams, checked_int
 
 # Orbit magnitude beyond which a map iteration is declared divergent; the
 # bounded attractors of both maps stay far below this.
 _ESCAPE = 1e6
+# Largest float64 array numpy can describe: n + burn_in stays within it.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("logistic", "henon", "gaussian"):
             raise InvalidParams(f"unknown model kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidParams("n must be >= 1")
-        if self.burn_in < 0:
-            raise InvalidParams("burn_in must be >= 0")
-        if self.kind == "gaussian":
-            seed = self.params.get("seed")
-            if seed is None:
-                raise InvalidParams("gaussian series requires an explicit seed")
-            if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-                raise InvalidParams(
-                    f"seed must be an integer in 0..2**64 - 1, got {seed!r}")
+        object.__setattr__(self, "n", checked_int("n", self.n, 1, _MAX_SAMPLES))
+        object.__setattr__(self, "burn_in", checked_int(
+            "burn_in", self.burn_in, 0, _MAX_SAMPLES - self.n))
+        if self.kind == "gaussian":  # a missing seed is None, and rejected
+            object.__setattr__(self, "params", {**self.params, "seed": checked_int(
+                "seed", self.params.get("seed"), 0, 2**64 - 1)})
 
 
 def paper_length() -> int:
@@ -77,7 +73,7 @@ def _henon(n, alpha=1.4, beta=0.3, x1=0.01, y1=0.01):
 def _gaussian(n, seed, mean=0.0, sd=1.0):
     if sd <= 0:
         raise InvalidParams("sd must be positive")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     return mean + sd * rng.standard_normal(n)
 
 

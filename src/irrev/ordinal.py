@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
     SeriesTooShort,
     TiedPatternUnsupported,
+    checked_int,
 )
 
 SCHEME_ORIGINAL = "original"
@@ -65,14 +66,8 @@ class EmbeddingConfig:
     tie_epsilon: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.m, Integral) or not 2 <= self.m <= _M_MAX:
-            raise InvalidParams(
-                f"dimension m must be an integer in 2..{_M_MAX}, got {self.m}"
-            )
-        if not isinstance(self.tau, Integral) or self.tau < 1:
-            raise InvalidParams(f"delay tau must be an integer >= 1, got {self.tau}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "tau", int(self.tau))
+        object.__setattr__(self, "m", checked_int("dimension m", self.m, 2, _M_MAX))
+        object.__setattr__(self, "tau", checked_int("delay tau", self.tau, 1))
         if self.scheme not in _SCHEMES:
             raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         eps = self.tie_epsilon  # kept as given; NaN fails the comparison

@@ -28,12 +28,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import (DegenerateSeries, DomainError, EmptyInput, InvalidParams,
-                     SeriesTooShort)
+from .errors import (DegenerateSeries, DomainError, EmptyInput, SeriesTooShort,
+                     checked_int)
 from .measures import _validated_series, measure, sweep
 from .ordinal import EmbeddingConfig
 
@@ -60,17 +59,10 @@ class IaaftParams:
     n_surrogates: int = 500
 
     def __post_init__(self):
-        for name in ("max_iterations", "n_surrogates", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.max_iterations < 1:
-            raise InvalidParams("max_iterations must be >= 1")
-        if self.n_surrogates < 1:
-            raise InvalidParams("n_surrogates must be >= 1")
-        if not 0 <= self.seed <= _MASK64:  # mix_seed would alias the rest
-            raise InvalidParams(f"seed must lie in 0..2**64 - 1, got {self.seed}")
+        for name, low, high in (("max_iterations", 1, None), ("n_surrogates", 1, None),
+                                ("seed", 0, _MASK64)):  # wider seeds alias in mix_seed
+            value = checked_int(name, getattr(self, name), low, high)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -141,10 +133,7 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
     Each call allocates its own buffers and reuses them in every iteration,
     so concurrent calls are safe and give the bytes of sequential ones.
     """
-    if not isinstance(index, Integral) or not 0 <= index <= _MASK64 - 1:
-        # mix_seed uses index + 1, so larger indices would alias members.
-        raise InvalidParams(
-            f"index must be an integer in 0..2**64 - 2, got {index!r}")
+    index = checked_int("index", index, 0, _MASK64 - 1)  # no alias of index + 1
     x, target_mag, sorted_x = prepared.x, prepared.target_mag, prepared.sorted_x
     n = len(x)
     rng = np.random.default_rng(mix_seed(params.seed, index))

@@ -65,6 +65,17 @@ class TestGenerate:
         assert code == 1
         assert "seed" in err
 
+    def test_memory_error_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def out_of_memory(spec):
+            raise MemoryError
+        monkeypatch.setattr("irrev.cli.generate_series", out_of_memory)
+        out = tmp_path / "big.txt"
+        code, stdout, err = run(capsys, "generate", "logistic", "--n",
+                                str(10**12), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage error: --n 1000000000000 ")
+        assert not out.exists()
+
     def test_diverging_orbit_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "logistic", "--n", "50",
                            "--x1", "2.0", "--out", str(tmp_path / "x.txt"))
@@ -360,6 +371,10 @@ class TestUsageAndEnv:
     ["sweep", "--input", "{input}", "--m", "3", "--measure", "xyz", "--out",
      "{tmp}/s.csv"],
     ["repro-models", "--out-dir", "{tmp}/repro", "--seed", "1", "--n", "0"],
+    ["generate", "logistic", "--n", str(10**30), "--out", "{tmp}/g.txt"],
+    ["generate", "logistic", "--n", str(2**62), "--out", "{tmp}/g.txt"],
+    ["generate", "gaussian", "--n", "10", "--burn-in", str(2**62), "--seed",
+     "1", "--out", "{tmp}/g.txt"],
 ])
 def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]

@@ -74,6 +74,19 @@ class TestReadSeries:
         with pytest.raises(InvalidParams):
             SeriesFile("x.txt", **kwargs)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "1", None])
+    def test_column_names_itself(self, bad):
+        with pytest.raises(InvalidParams, match="^column must be an integer"):
+            SeriesFile("x.csv", format="csv", column=bad)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint32])
+    def test_numpy_column_stored_as_int(self, tmp_path, cast):
+        path = tmp_path / "two.csv"
+        path.write_text("1,5\n2,6\n")
+        file = SeriesFile(str(path), format="csv", column=cast(1))
+        assert type(file.column) is int
+        assert list(read_series(file)) == [5.0, 6.0]
+
     def test_missing_csv_column(self, tmp_path):
         path = tmp_path / "narrow.csv"
         path.write_text("1\n2\n")
@@ -198,6 +211,17 @@ def _set_pair_field(pairs, i, key, value):
         pairs[i][key] = value
     else:
         pairs[key][i] = value
+
+
+# Edits of a document at a key path: delete the item, or cut the text in half.
+_DELETE, _TRUNCATE = object(), object()
+
+
+def _at(doc, where):
+    """The item of ``doc`` at the key path ``where``."""
+    for key in where:
+        doc = doc[key]
+    return doc
 
 
 class TestReportDocument:
@@ -517,6 +541,38 @@ class TestReportDocument:
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidParams, match="schema_version must be"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("version, where, new", [
+        ("1", ("reports", 0, "pairs"), [5]),
+        ("1", ("reports", 0, "pairs", 0, "counterpart"), _DELETE),
+        ("2", ("reports", 0, "config"), _DELETE),
+        ("2", ("reports", 0, "config", "width"), 3),
+        ("2", ("reports",), 5),
+        ("2", ("reports", 0), "report"),
+        ("2", ("reports", 0, "kind"), _DELETE),
+        ("2", ("verdicts",), [{"p2_5": 0.1, "bogus": 1}]),
+        ("2", ("provenance",), _DELETE),
+        ("2", ("schema_version",), _DELETE),
+        ("1", ("provenance",), _DELETE),
+        ("2", (), ["a list"]),
+        ("2", (), _TRUNCATE),
+        ("1", (), _TRUNCATE),
+    ])
+    def test_broken_document_is_invalid_params(self, tmp_path, version, where,
+                                               new):
+        path = tmp_path / "broken.json"
+        doc = self._json(tmp_path, version)
+        if new is _DELETE:
+            del _at(doc, where[:-1])[where[-1]]
+        elif where:
+            _at(doc, where[:-1])[where[-1]] = new
+        elif new is not _TRUNCATE:
+            doc = new
+        text = json.dumps(doc)
+        path.write_text(text[:len(text) // 2] if new is _TRUNCATE else text)
+        with pytest.raises(InvalidParams,
+                           match=f"^{path} is not a report document: "):
             read_report(str(path))
 
     @pytest.mark.parametrize("version", ["1", "3", 2, None])

@@ -12,6 +12,7 @@ from irrev import (
     generate,
     paper_length,
 )
+from irrev.models import _MAX_SAMPLES
 
 
 class TestLogistic:
@@ -69,7 +70,7 @@ class TestGaussian:
         x = generate(ModelSpec("gaussian", n, params={"seed": 123}))
         assert abs(x.mean()) < 4.0 / np.sqrt(n)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "5"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "5", 2.5, None])
     def test_seed_domain(self, seed):
         with pytest.raises(InvalidParams, match="seed"):
             ModelSpec("gaussian", 10, params={"seed": seed})
@@ -93,6 +94,32 @@ class TestSpecValidation:
             ModelSpec("logistic", 0)
         with pytest.raises(InvalidParams):
             ModelSpec("logistic", 10, burn_in=-1)
+
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad) for field, pasts in (
+            ("n", (0, _MAX_SAMPLES + 1, 2**62, 10**30)),
+            ("burn_in", (-1, _MAX_SAMPLES - 9, 2**62)))
+        for bad in (2.5, "5", None, 0.5, *pasts)])
+    def test_integer_fields_name_themselves(self, field, bad):
+        with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
+            ModelSpec("logistic", **{"n": 10, field: bad})
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint32])
+    def test_numpy_integer_types_stored_as_int(self, cast):
+        spec = ModelSpec("gaussian", cast(10), burn_in=cast(2),
+                         params={"seed": cast(5)})
+        assert (spec.n, spec.burn_in, spec.params["seed"]) == (10, 2, 5)
+        assert all(type(v) is int
+                   for v in (spec.n, spec.burn_in, spec.params["seed"]))
+        expected = generate(ModelSpec("gaussian", 10, 2, {"seed": 5}))
+        assert np.array_equal(generate(spec), expected)
+
+    def test_largest_describable_array_is_the_bound(self):
+        # Checked only, never allocated.
+        assert _MAX_SAMPLES == np.iinfo(np.intp).max // 8
+        assert ModelSpec("logistic", _MAX_SAMPLES).n == _MAX_SAMPLES
+        with pytest.raises(InvalidParams, match="^burn_in must be"):
+            ModelSpec("logistic", _MAX_SAMPLES, burn_in=1)
 
 
 def test_paper_length():

@@ -59,6 +59,20 @@ class TestEmbeddingConfig:
         cfg = EmbeddingConfig(m=3, tie_epsilon=eps)
         assert cfg.tie_epsilon is eps
 
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, pasts in (("dimension m", (1, 16)), ("delay tau", (0,)))
+        for bad in (2.5, "2", None, *pasts)])
+    def test_integer_fields_name_themselves(self, name, bad):
+        field = name.split()[1]
+        with pytest.raises(InvalidParams, match=f"^{name} must be an integer"):
+            EmbeddingConfig(**{"m": 3, field: bad})
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint32])
+    def test_numpy_integer_types_stored_as_int(self, cast):
+        cfg = EmbeddingConfig(m=cast(3), tau=cast(2))
+        assert (cfg.m, cfg.tau) == (3, 2)
+        assert type(cfg.m) is int and type(cfg.tau) is int
+
     def test_m_bounded_by_code_width(self):
         assert EmbeddingConfig(m=15).m == 15
         with pytest.raises(ValueError, match=r"2\.\.15"):

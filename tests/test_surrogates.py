@@ -119,7 +119,8 @@ class TestIaaft:
         data = np.ascontiguousarray(surrogate, dtype="<f8").tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @pytest.mark.parametrize("index", [1.7, 1.0, -1, 2**64 - 1, 2**64 + 1])
+    @pytest.mark.parametrize("index", [1.7, 1.0, -1, 2**64 - 1, 2**64 + 1,
+                                       2.5, "2", None])
     def test_index_outside_the_member_range_rejected(self, index):
         # mix_seed uses index + 1: 1.7 and 2**64 + 1 would both alias member 1.
         x = np.random.default_rng(36).standard_normal(64)
@@ -153,6 +154,13 @@ class TestIaaftParams:
         assert params == IaaftParams(max_iterations=5, seed=7, n_surrogates=3)
         assert all(type(v) is int for v in
                    (params.max_iterations, params.seed, params.n_surrogates))
+
+    @pytest.mark.parametrize("field, past", [
+        ("max_iterations", 0), ("n_surrogates", 0), ("seed", -1),
+        ("seed", 2**64)])
+    def test_values_past_a_bound_name_the_field(self, field, past):
+        with pytest.raises(InvalidParams, match=f"^{field} must be an integer"):
+            IaaftParams(**{field: past})
 
     def test_bounds(self):
         with pytest.raises(ValueError):
