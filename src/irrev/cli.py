@@ -17,7 +17,7 @@ import click
 
 from . import io as dio
 from . import __version__
-from .errors import DataError, InvalidParams, NumericError
+from .errors import DataError, InvalidParams, NumericError, checked_real
 from .measures import KIND_AIR, KIND_TIR, measure, sweep
 from .models import ModelSpec, generate as generate_series, paper_length
 from .ordinal import EmbeddingConfig
@@ -88,6 +88,13 @@ def _series_options(f):
     return f
 
 
+def _generated(spec: ModelSpec):
+    try:
+        return generate_series(spec)
+    except MemoryError:
+        raise InvalidParams(f"--n {spec.n} needs more memory than there is") from None
+
+
 def _read_series(input_path, fmt, delimiter, column, header):
     return dio.read_series(dio.SeriesFile(input_path, fmt, delimiter, column,
                                           header))
@@ -126,10 +133,10 @@ def generate(model, n, burn_in, r, x1, y1, alpha, beta, mean, sd, seed, out):
         "henon": {"alpha": alpha, "beta": beta, "x1": x1, "y1": y1},
         "gaussian": {"mean": mean, "sd": sd, "seed": seed},
     }[model]
-    try:
-        series = generate_series(ModelSpec(model, n, burn_in, params))
-    except MemoryError:
-        raise InvalidParams(f"--n {n} needs more memory than is available") from None
+    for flag, value in params.items():
+        if flag != "seed":
+            checked_real(f"--{flag}", value)
+    series = _generated(ModelSpec(model, n, burn_in, params))
     dio.write_series(series, out)
     click.echo(f"{model} {n} {seed if seed is not None else '-'}")
 
@@ -269,7 +276,6 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
         n = paper_length()
     specs = [ModelSpec("logistic", n), ModelSpec("henon", n),
              ModelSpec("gaussian", n, params={"seed": seed})]
-    os.makedirs(out_dir, exist_ok=True)
     ms = list(range(2, m_max + 1))
     configs = [EmbeddingConfig(m=m, tau=1) for m in ms]
     kinds = (KIND_TIR, KIND_AIR)
@@ -279,7 +285,8 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
     reports = []
     for spec in specs:
         name = spec.kind
-        series = generate_series(spec)
+        series = _generated(spec)
+        os.makedirs(out_dir, exist_ok=True)
         dio.write_series(series, os.path.join(out_dir, f"{name}.txt"))
         ensemble = ensemble_values(series, params, configs, kinds)
         originals = {(rep.kind, rep.config): rep

@@ -4,11 +4,14 @@ Errors split into three families that the CLI maps to distinct exit codes:
 usage problems (bad flags), data problems (unreadable or unusable input),
 and numeric problems (degenerate or diverging computations).
 
-Every integer parameter goes through :func:`checked_int`: an integer in bounds,
-numpy's too, comes back as an ``int``; anything else is :class:`InvalidParams`.
+Each input rule is one helper here (``checked_int``, ``checked_real``,
+``checked_choice``, ``checked_series``), whose error names the bad input.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class IrrevError(Exception):
@@ -77,6 +80,39 @@ def checked_int(name: str, value, low: int, high: int | None = None) -> int:
         return int(value)
     bounds = f">= {low}" if high is None else f"in {low}..{high}"
     raise InvalidParams(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def checked_real(name: str, value, above: float = -math.inf):
+    """``value`` if a finite real number > ``above``, else :class:`InvalidParams`."""
+    if isinstance(value, Real) and above < value < math.inf:  # NaN fails too
+        return value
+    bound = "" if above == -math.inf else f" > {above:g}"
+    raise InvalidParams(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+def checked_choice(name: str, value, choices: tuple):
+    """``value`` if it is one of ``choices``, else :class:`InvalidParams`."""
+    if value in choices:
+        return value
+    raise InvalidParams(f"{name} must be one of {choices}, got {value!r}")
+
+
+def checked_series(series) -> np.ndarray:
+    """``series`` as a 1-D float64 array of finite samples, not copied if it
+    is one: complex and text samples are refused, and ``None`` is NaN."""
+    try:  # a ragged nesting is a ValueError, a complex object a TypeError
+        x = np.asarray(series)
+        x = x.astype(float, copy=False) if x.dtype.kind in "biufO" else x
+    except (TypeError, ValueError):
+        x = np.asarray(None)
+    if x.dtype != np.float64:
+        raise InvalidParams("series must hold real numbers")
+    if x.ndim != 1:
+        raise InvalidParams("series must be one-dimensional")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteSample(f"non-finite sample {float(x[np.argmin(finite)])!r}")
+    return x
 
 
 # -- numeric errors -----------------------------------------------------------

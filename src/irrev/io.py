@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (EmptyFile, InvalidParams, InvalidPattern, NonFiniteSample,
-                     ParseError, checked_int)
+                     ParseError, checked_choice, checked_int, checked_series)
 from .measures import _SAME_BIN_CODE, SAME_BIN, IrreversibilityReport, PairTable
 from .ordinal import EmbeddingConfig, _code_digits, _code_weights
 from .surrogates import SurrogateVerdict
@@ -44,8 +44,7 @@ class SeriesFile:
     header: bool = False
 
     def __post_init__(self):
-        if self.format not in ("plain", "csv"):
-            raise InvalidParams(f"format must be 'plain' or 'csv', got {self.format!r}")
+        checked_choice("format", self.format, ("plain", "csv"))
         if len(self.delimiter) != 1:
             raise InvalidParams(f"delimiter must be 1 character, got {self.delimiter!r}")
         object.__setattr__(self, "column", checked_int("column", self.column, 0))
@@ -124,18 +123,12 @@ def _bulk_samples(text: str) -> list[float] | None:
 def write_series(series, path: str) -> None:
     """Write one sample per line, 17 significant digits, newline-terminated.
 
-    The samples are checked once as a float64 array and rendered with one
-    format operation, whose text equals :func:`_fmt` of each sample.
+    The samples are checked once by ``checked_series`` and rendered with
+    one format operation, whose text equals :func:`_fmt` of each sample.
     """
-    samples = np.asarray(series, dtype=np.float64)
-    if samples.ndim != 1:
-        raise InvalidParams("series must be one-dimensional")
+    samples = checked_series(series)
     if not len(samples):
         raise EmptyFile("refusing to write an empty series")
-    finite = np.isfinite(samples)
-    if not finite.all():
-        bad = float(samples[np.argmin(finite)])
-        raise NonFiniteSample(f"non-finite sample {bad!r}")
     _durable_write(path, ("%.17g\n" * len(samples)) % tuple(samples.tolist()))
 
 
@@ -402,10 +395,7 @@ def read_report(path: str) -> ReportDocument:
 
 def _document(d: dict) -> ReportDocument:
     """The document of the decoded JSON ``d``: see :func:`read_report`."""
-    version = d["schema_version"]
-    if version not in _READABLE_VERSIONS:
-        raise InvalidParams(f"schema_version must be one of "
-                            f"{_READABLE_VERSIONS}, got {version!r}")
+    version = checked_choice("schema_version", d["schema_version"], _READABLE_VERSIONS)
     reports = [(r, EmbeddingConfig(**r["config"]),
                 _pair_lists(r["pairs"], version)) for r in d["reports"]]
     codes_by_m = _document_codes(

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DomainError, InvalidParams, InvalidPattern,
-                     NonFiniteSample, SeriesTooShort)
+                     SeriesTooShort, checked_choice, checked_series)
 from .ordinal import (
     SCHEME_EQUAL_VALUE,
     EmbeddingConfig,
@@ -286,8 +286,7 @@ class IrreversibilityReport:
     n_windows: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParams(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        checked_choice("kind", self.kind, _KINDS)
         for name, cast in (("value", float), ("n_observed_patterns", int),
                            ("n_forbidden_counterparts", int), ("n_windows", int)):
             object.__setattr__(self, name, _scalar(name, getattr(self, name), cast))
@@ -310,23 +309,12 @@ def _scalar(name: str, value, cast):
     raise InvalidParams(f"{name} must be {wanted}, got {value!r}")
 
 
-def _validated_series(series) -> np.ndarray:
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise InvalidParams("series must be one-dimensional")
-    if not np.isfinite(x).all():
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise NonFiniteSample(f"non-finite sample at index {bad}")
-    return x
-
-
 def build_histogram(
     series, config: EmbeddingConfig, transform: str = TRANSFORM_IDENTITY
 ) -> PatternHistogram:
     """Count patterns over every window of the series under a transform."""
-    if transform not in _TRANSFORMS:
-        raise InvalidParams(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
-    x = _validated_series(series)
+    checked_choice("transform", transform, _TRANSFORMS)
+    x = checked_series(series)
     if transform == TRANSFORM_TIME_REVERSE:
         x = x[::-1].copy()  # contiguous: comparisons are slow on strides < 0
     elif transform == TRANSFORM_NEGATE:
@@ -390,11 +378,12 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     """1/2 sum of Ys(h/n, g/n) in rational arithmetic, rounded once.
 
     Each term is ci (ci - cj) / (n (ci + cj)) with ci = max(h, g), so the
-    numerators are summed exactly per denominator d = ci + cj (each sum is
-    at most (2n)**2, inside int64 for n < 1.5e9) before one fraction per d
-    is added.
+    numerators are summed exactly per denominator d = ci + cj before one
+    fraction per d is added. Each sum is at most (2n)**2, inside int64 for
+    n < 2**30; from there on the counts are Python ints.
     """
     ci, cj = np.maximum(h, g), np.minimum(h, g)
+    ci, cj = (ci, cj) if n < 2**30 else (ci.astype(object), cj.astype(object))
     d = ci + cj
     order = np.argsort(d)
     d, num = d[order], (ci * (ci - cj))[order]
@@ -449,9 +438,8 @@ def _report(x: np.ndarray, fwd: PatternHistogram,
 
 def measure(series, config: EmbeddingConfig, kind: str) -> IrreversibilityReport:
     """Compute TIR or AIR with full per-pair decomposition."""
-    if kind not in _KINDS:
-        raise InvalidParams(f"kind must be one of {_KINDS}, got {kind!r}")
-    x = np.asarray(series, dtype=float)  # build_histogram checks it
+    checked_choice("kind", kind, _KINDS)
+    x = checked_series(series)
     return _report(x, build_histogram(x, config), kind)
 
 
@@ -470,11 +458,8 @@ def sweep(
     """
     m_range, tau_range = (r if isinstance(r, range) else list(r)
                           for r in (m_range, tau_range))
-    kinds = list(kinds)
-    for k in kinds:
-        if k not in _KINDS:
-            raise InvalidParams(f"unknown measure kind {k!r}")
-    x = _validated_series(series)
+    kinds = [checked_choice("kind", k, _KINDS) for k in kinds]
+    x = checked_series(series)
     by_kind = {kind: [] for kind in kinds}
     for m in m_range:
         for tau in tau_range:

@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedOrbit, InvalidParams, checked_int
+from .errors import DivergedOrbit, checked_choice, checked_int, checked_real
 
 # Orbit magnitude beyond which a map iteration is declared divergent; the
 # bounded attractors of both maps stay far below this.
 _ESCAPE = 1e6
 # Largest float64 array numpy can describe: n + burn_in stays within it.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
+_PARAMETERS = {"logistic": ("r", "x1"), "henon": ("alpha", "beta", "x1", "y1"),
+               "gaussian": ("mean", "sd", "seed")}
 
 
 @dataclass(frozen=True)
@@ -31,12 +33,15 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "henon", "gaussian"):
-            raise InvalidParams(f"unknown model kind {self.kind!r}")
+        names = _PARAMETERS[checked_choice("kind", self.kind, tuple(_PARAMETERS))]
+        for name in self.params:
+            checked_choice(f"{self.kind} parameter", name, names)
         object.__setattr__(self, "n", checked_int("n", self.n, 1, _MAX_SAMPLES))
         object.__setattr__(self, "burn_in", checked_int(
             "burn_in", self.burn_in, 0, _MAX_SAMPLES - self.n))
         if self.kind == "gaussian":  # a missing seed is None, and rejected
+            checked_real("mean", self.params.get("mean", 0.0))
+            checked_real("sd", self.params.get("sd", 1.0), above=0)
             object.__setattr__(self, "params", {**self.params, "seed": checked_int(
                 "seed", self.params.get("seed"), 0, 2**64 - 1)})
 
@@ -71,8 +76,6 @@ def _henon(n, alpha=1.4, beta=0.3, x1=0.01, y1=0.01):
 
 
 def _gaussian(n, seed, mean=0.0, sd=1.0):
-    if sd <= 0:
-        raise InvalidParams("sd must be positive")
     rng = np.random.default_rng(seed)
     return mean + sd * rng.standard_normal(n)
 

@@ -25,7 +25,6 @@ reversed window; complement ``m + 1 - label``, only for tie-free patterns).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
 from numbers import Real
@@ -36,11 +35,12 @@ from .errors import (
     InvalidParams,
     InvalidPattern,
     LengthMismatch,
-    NonFiniteSample,
     ParseError,
     SeriesTooShort,
     TiedPatternUnsupported,
+    checked_choice,
     checked_int,
+    checked_series,
 )
 
 SCHEME_ORIGINAL = "original"
@@ -68,8 +68,7 @@ class EmbeddingConfig:
     def __post_init__(self):
         object.__setattr__(self, "m", checked_int("dimension m", self.m, 2, _M_MAX))
         object.__setattr__(self, "tau", checked_int("delay tau", self.tau, 1))
-        if self.scheme not in _SCHEMES:
-            raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        checked_choice("scheme", self.scheme, _SCHEMES)
         eps = self.tie_epsilon  # kept as given; NaN fails the comparison
         if isinstance(eps, bool) or not isinstance(eps, Real) or not eps >= 0:
             raise InvalidParams(f"tie_epsilon must be a real number >= 0, got {eps!r}")
@@ -84,8 +83,7 @@ class Pattern:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(map(int, self.labels)))
-        if self.scheme not in _SCHEMES:
-            raise InvalidParams(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        checked_choice("scheme", self.scheme, _SCHEMES)
 
     @property
     def m(self) -> int:
@@ -183,15 +181,10 @@ def _complemented_codes(codes: np.ndarray, m: int) -> np.ndarray:
 
 def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
     """Encode one window of ``config.m`` samples as an ordinal pattern."""
-    values = [float(v) for v in window]
-    if len(values) != config.m:
-        raise LengthMismatch(
-            f"window has {len(values)} samples, config.m = {config.m}"
-        )
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteSample(f"non-finite sample {v!r} in window")
-    codes, _ = _encode(np.array(values), replace(config, tau=1))
+    x = checked_series(window)
+    if len(x) != config.m:
+        raise LengthMismatch(f"window has {len(x)} samples, config.m = {config.m}")
+    codes, _ = _encode(x, replace(config, tau=1))
     return _decode(codes, config.m, config.scheme)[0]
 
 
@@ -222,11 +215,9 @@ def time_reverse_tie_free(pattern: Pattern) -> Pattern:
 
 def is_self_symmetric(pattern: Pattern, symmetry: str) -> bool:
     """True iff the given transform maps the pattern to itself."""
-    if symmetry == "amplitude":
+    if checked_choice("symmetry", symmetry, ("amplitude", "time")) == "amplitude":
         return amplitude_reverse(pattern) == pattern
-    if symmetry == "time":
-        return time_reverse_tie_free(pattern) == pattern
-    raise InvalidParams(f"symmetry must be 'amplitude' or 'time', got {symmetry!r}")
+    return time_reverse_tie_free(pattern) == pattern
 
 
 def canonical_representative(pattern: Pattern) -> list[int]:

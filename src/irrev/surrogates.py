@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateSeries, DomainError, EmptyInput, SeriesTooShort,
-                     checked_int)
-from .measures import _validated_series, measure, sweep
+                     checked_choice, checked_int, checked_series)
+from .measures import _KINDS, measure, sweep
 from .ordinal import EmbeddingConfig
 
 _MASK64 = (1 << 64) - 1
@@ -116,7 +116,7 @@ class IaaftSeries:
 
 def prepare_iaaft(series) -> IaaftSeries:
     """Validate ``series`` and compute its spectrum and sorted values."""
-    x = _validated_series(series)
+    x = checked_series(series)
     n = len(x)
     if n < 8:
         raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
@@ -224,8 +224,11 @@ def _usable_cpus() -> int:
 
 def ensemble_values(series, params: IaaftParams, configs, kinds):
     """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``."""
+    kinds = [checked_choice("kind", k, _KINDS) for k in kinds]  # before any draw
     prepared = prepare_iaaft(series)
     values = {(kind, c): [] for c in configs for kind in kinds}
+    if not values:  # no cell to score
+        return values
     n = params.n_surrogates
     width = min(_usable_cpus(), n)
     with (ThreadPoolExecutor(width - 1, thread_name_prefix="irrev-iaaft")

@@ -82,6 +82,20 @@ class TestGenerate:
         assert code == 3
         assert "diverged" in err
 
+    @pytest.mark.parametrize("model, flag, value", [
+        ("gaussian", "--sd", "nan"), ("gaussian", "--mean", "inf"),
+        ("logistic", "--r", "nan"), ("logistic", "--x1", "nan"),
+        ("henon", "--alpha", "inf")])
+    def test_non_finite_parameter_is_usage_error(self, capsys, tmp_path,
+                                                 model, flag, value):
+        out = tmp_path / "g.txt"
+        code, stdout, err = run(capsys, "generate", model, "--n", "10",
+                                "--seed", "1", flag, value, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"usage error: {flag} must be a finite real number, "
+                       f"got {value}\n")
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_increasing_series(self, capsys, increasing_file, tmp_path):
@@ -306,6 +320,17 @@ class TestReproModels:
             assert len(builds) == 3 * (5 + 1) * 2
             assert set(builds) == {threading.current_thread()}
 
+    def test_memory_error_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def out_of_memory(spec):
+            raise MemoryError
+        monkeypatch.setattr("irrev.cli.generate_series", out_of_memory)
+        out_dir = tmp_path / "repro"
+        code, stdout, err = run(capsys, "repro-models", "--out-dir",
+                                str(out_dir), "--seed", "1", "--n", str(10**12))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage error: --n 1000000000000 ")
+        assert not out_dir.exists()
+
 
 class TestUsageAndEnv:
     def test_unknown_command(self, capsys):
@@ -375,6 +400,7 @@ class TestUsageAndEnv:
     ["generate", "logistic", "--n", str(2**62), "--out", "{tmp}/g.txt"],
     ["generate", "gaussian", "--n", "10", "--burn-in", str(2**62), "--seed",
      "1", "--out", "{tmp}/g.txt"],
+    ["sweep", "--input", "{input}", "--m", "5..2", "--out", "{tmp}/s.csv"],
 ])
 def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     argv = [a.format(input=increasing_file, tmp=tmp_path) for a in argv]

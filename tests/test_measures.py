@@ -800,3 +800,12 @@ class TestSweep:
         air = {r.config.m: r.value for r in reports if r.kind == "AIR"}
         for m in (3, 4, 5):
             assert tir[m] > air[m]
+
+
+@pytest.mark.parametrize("h, g, value", [
+    ([4 * 10**9, 0], [0, 4 * 10**9], 1.0),
+    ([3 * 10**9, 10**9, 0], [10**9, 0, 3 * 10**9], 0.6875)])
+def test_exact_value_beyond_int64_numerators(h, g, value):
+    # Counts past 2**30 windows: the numerator sums no longer fit in int64.
+    n = sum(h)
+    assert measures._exact_value(np.array(h), np.array(g), n) == value

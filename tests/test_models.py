@@ -114,6 +114,22 @@ class TestSpecValidation:
         expected = generate(ModelSpec("gaussian", 10, 2, {"seed": 5}))
         assert np.array_equal(generate(spec), expected)
 
+    @pytest.mark.parametrize("kind, name", [
+        ("logistic", "foo"), ("logistic", "alpha"), ("henon", "r"),
+        ("gaussian", "x1")])
+    def test_unknown_parameter_named(self, kind, name):
+        with pytest.raises(InvalidParams,
+                           match=f"^{kind} parameter must be one of .*'{name}'$"):
+            ModelSpec(kind, 10, params={name: 1.0})
+
+    @pytest.mark.parametrize("name, value", [
+        ("sd", float("nan")), ("sd", float("inf")), ("sd", 0.0), ("sd", -1.0),
+        ("mean", float("nan")), ("mean", float("-inf")), ("mean", "0")])
+    def test_gaussian_mean_and_sd_checked_up_front(self, name, value):
+        with pytest.raises(InvalidParams,
+                           match=f"^{name} must be a finite real number"):
+            ModelSpec("gaussian", 10, params={"seed": 1, name: value})
+
     def test_largest_describable_array_is_the_bound(self):
         # Checked only, never allocated.
         assert _MAX_SAMPLES == np.iinfo(np.intp).max // 8

@@ -295,6 +295,32 @@ class TestEnsembleValues:
         assert threading.active_count() == threads
 
 
+class TestEnsembleChecksBeforeDrawing:
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a member was drawn")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(surrogates, "draw_iaaft", draw)
+
+    PARAMS = IaaftParams(max_iterations=5, seed=9, n_surrogates=4)
+    X = np.random.default_rng(38).standard_normal(64)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidParams, match="^kind must be one of"):
+            ensemble_values(self.X, self.PARAMS, [EmbeddingConfig(m=3)],
+                            ["TIR", "XIR"])
+
+    @pytest.mark.parametrize("configs, kinds", [
+        ([], ["TIR", "AIR"]), ([EmbeddingConfig(m=3)], [])])
+    def test_no_cell_draws_nothing(self, configs, kinds):
+        assert ensemble_values(self.X, self.PARAMS, configs, kinds) == {}
+
+    def test_series_checked_without_a_cell(self):
+        with pytest.raises(NonFiniteSample):
+            ensemble_values([*self.X[:10], np.nan], self.PARAMS, [], ["TIR"])
+
+
 class TestSignificance:
     def test_chaotic_series_detected_at_small_scale(self):
         from irrev import ModelSpec, generate
