@@ -102,7 +102,9 @@ def checked_series(series) -> np.ndarray:
     is one: complex and text samples are refused, and ``None`` is NaN."""
     try:  # a ragged nesting is a ValueError, a complex object a TypeError
         x = np.asarray(series)
-        x = x.astype(float, copy=False) if x.dtype.kind in "biufO" else x
+        real = x.dtype.kind in "biuf" or x.dtype.kind == "O" and not any(
+            isinstance(v, (str, bytes)) for v in x.flat)  # float() parses text
+        x = x.astype(float, copy=False) if real else x
     except (TypeError, ValueError):
         x = np.asarray(None)
     if x.dtype != np.float64:

@@ -33,8 +33,9 @@ built only when a caller reads them, each histogram and table decoding its
 own codes once; no value or written report needs them.
 
 Counts are exact integers; the value is accumulated in rational arithmetic,
-one fraction per distinct denominator ``ci + cj``, and converted to float
-once, so invariance identities (affine, reversal, negation) hold exactly.
+one integer sum per distinct denominator ``ci + cj`` added into one
+unreduced fraction, and converted to float once, so invariance identities
+(affine, reversal, negation) hold exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,7 @@ from .ordinal import (
     Pattern,
     _complemented_codes,
     _decode,
-    _encode,
+    _histogram,
     _pattern_code,
     _reversed_codes,
 )
@@ -319,8 +319,7 @@ def build_histogram(
         x = x[::-1].copy()  # contiguous: comparisons are slow on strides < 0
     elif transform == TRANSFORM_NEGATE:
         x = -x
-    codes, tied = _encode(x, config)
-    codes, code_counts = np.unique(codes, return_counts=True)
+    codes, code_counts, tied = _histogram(x, config)
     return PatternHistogram(config, transform, len(tied),
                             int(np.count_nonzero(tied)),
                             codes=codes, code_counts=code_counts)
@@ -378,9 +377,11 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     """1/2 sum of Ys(h/n, g/n) in rational arithmetic, rounded once.
 
     Each term is ci (ci - cj) / (n (ci + cj)) with ci = max(h, g), so the
-    numerators are summed exactly per denominator d = ci + cj before one
-    fraction per d is added. Each sum is at most (2n)**2, inside int64 for
-    n < 2**30; from there on the counts are Python ints.
+    numerators are summed exactly per denominator d = ci + cj, and those
+    sums are added as one unreduced fraction N / D of Python ints. Dividing
+    N by D * 2n rounds the same rational as a reduced fraction would. Each
+    sum is at most (2n)**2, inside int64 for n < 2**30; from there on the
+    counts are Python ints.
     """
     ci, cj = np.maximum(h, g), np.minimum(h, g)
     ci, cj = (ci, cj) if n < 2**30 else (ci.astype(object), cj.astype(object))
@@ -388,9 +389,10 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     order = np.argsort(d)
     d, num = d[order], (ci * (ci - cj))[order]
     starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
-    total = sum(Fraction(s, q) for s, q in
-                zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()))
-    return float(total / (2 * n))
+    numerator, denominator = 0, 1
+    for s, q in zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()):
+        numerator, denominator = numerator * q + s * denominator, denominator * q
+    return numerator / (denominator * 2 * n)
 
 
 def _report(x: np.ndarray, fwd: PatternHistogram,

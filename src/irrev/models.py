@@ -9,10 +9,12 @@ on the exact samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import DivergedOrbit, checked_choice, checked_int, checked_real
+from .errors import (DivergedOrbit, InvalidParams, checked_choice, checked_int,
+                     checked_real)
 
 # Orbit magnitude beyond which a map iteration is declared divergent; the
 # bounded attractors of both maps stay far below this.
@@ -44,6 +46,10 @@ class ModelSpec:
             checked_real("sd", self.params.get("sd", 1.0), above=0)
             object.__setattr__(self, "params", {**self.params, "seed": checked_int(
                 "seed", self.params.get("seed"), 0, 2**64 - 1)})
+        else:  # a non-finite map parameter is left to diverge in generate
+            for name, value in self.params.items():
+                if not isinstance(value, Real):
+                    raise InvalidParams(f"{name} must be a real number, got {value!r}")
 
 
 def paper_length() -> int:

@@ -8,15 +8,37 @@ ascending value order. Two tie-handling schemes are supported:
 * ``"equal-value"`` -- every member of a tie group carries the group's lowest
   position index, e.g. ``{3,1,7,1,5}`` encodes to ``(2,2,1,5,3)``.
 
-:func:`_encode` encodes every window of a series (and the one window of
-:func:`extract_pattern`) from its column views ``x[k tau : k tau + n]``. One
-comparison per column pair gives each sample's rank, its slot in the stable
-sort of its window. A window is tied iff a pair lies within ``tie_epsilon``
-(the smallest gap is always between sorted neighbours, whose chaining makes
-the tie groups); an equal-value label is the lowest position of its tie
-component. A code places each label at its rank as big-endian base-(m + 1)
-digits, ``sum(label_k * (m + 1) ** (m - 1 - rank_k))``: ascending codes are
-the lexicographic label order, and ``(m + 1) ** m`` bounds ``m`` to 2..15.
+:func:`_histogram` counts the patterns of every window of a series (and
+of the one window of :func:`extract_pattern`). It makes one ``<=``
+comparison and one tie test per lag, ``x[:-d tau]`` against ``x[d tau:]``
+for d = 1..m-1; column pair (j, k) of every window reads lag k - j at offset
+``j tau``. The comparisons give each window's Lehmer digits c_j, the number
+of later samples sorted before sample j in the stable sort of the window,
+and its ranks, rank_j = c_j plus the earlier samples sorted before j. A
+window is tied iff a pair lies within ``tie_epsilon`` (the smallest gap is
+always between sorted neighbours, whose chaining makes the tie groups); an
+equal-value label is the lowest position of its tie component, found from
+the same per-lag tie tests. A code places each label at its rank as
+big-endian base-(m + 1) digits, ``sum(label_k * (m + 1) ** (m - 1 - rank_k))``:
+ascending codes are the lexicographic label order, and ``(m + 1) ** m``
+bounds ``m`` to 2..15.
+
+Windows are counted on one of two paths:
+
+* Lehmer keys, when the stable-sort order fixes every window's pattern
+  (the original scheme, or no tied window) and there are at least ``m!``
+  windows. Each window's key ``sum(c_j * (m - 1 - j)!)`` lies in
+  ``0..m! - 1``; the keys are counted, and each distinct key is translated
+  once to its code (digits, then ranks by right-to-left insertion).
+  Translating a key costs about what gathering a window's code costs, and
+  up to ``m!`` keys are translated, so the path pays only from ``m!``
+  windows on (the one window of :func:`extract_pattern` is gathered). A key
+  is held in the smallest signed type that holds ``m!``, and never narrower
+  than int16: numpy multiplies int8 digits by an unsigned or int8 weight in
+  a slow loop.
+* Per-column gather otherwise (equal-value data with a tied window, or
+  fewer than ``m!`` windows): each window's code is summed from its labels
+  and ranks, and the codes are counted.
 
 Two symmetry transforms act on patterns and on codes: amplitude reversal
 (the negated window; labels or digits reversed) and time reversal (the
@@ -25,6 +47,8 @@ reversed window; complement ``m + 1 - label``, only for tie-free patterns).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
 from numbers import Real
@@ -82,7 +106,12 @@ class Pattern:
     scheme: str = SCHEME_EQUAL_VALUE
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
+        try:  # int, numpy integers and bool, as checked_int takes them
+            labels = tuple(map(operator.index, self.labels))
+        except TypeError:
+            raise InvalidParams(f"pattern labels must be integers, "
+                                f"got {self.labels!r}") from None
+        object.__setattr__(self, "labels", labels)
         checked_choice("scheme", self.scheme, _SCHEMES)
 
     @property
@@ -104,43 +133,94 @@ def _ties(a: np.ndarray, b: np.ndarray, tie_epsilon) -> np.ndarray:
         return np.abs(b - a) <= tie_epsilon
 
 
-def _encode(x: np.ndarray, config: EmbeddingConfig):
-    """Pattern codes of every window of ``x``, and which windows hold a tie."""
+def _key_dtype(m: int) -> np.dtype:
+    """Smallest signed type holding ``m!``, never narrower than int16."""
+    return np.result_type(np.int16, np.min_scalar_type(-math.factorial(m)))
+
+
+def _histogram(x: np.ndarray, config: EmbeddingConfig):
+    """Sorted distinct pattern codes of the windows of ``x``, their counts,
+    and which windows hold a tie."""
     m, tau, eps = config.m, config.tau, config.tie_epsilon
     n = len(x) - (m - 1) * tau
     if n < 1:
         raise SeriesTooShort(f"need at least {(m - 1) * tau + 1} samples for "
                              f"m={m}, tau={tau}; got {len(x)}")
-    cols = [x[k * tau : k * tau + n] for k in range(m)]
-    # rank_k starts at m - 1 - k; each pair's comparison moves one rank by one.
-    ranks = np.repeat(np.arange(m - 1, -1, -1, dtype=np.int8)[:, None], n, 1)
+    # Column pair (j, k) of every window reads lag k - j at offset j tau.
+    lags = [(x[: len(x) - d * tau], x[d * tau :]) for d in range(1, m)]
+    before = [None] + [(a <= b).view(np.int8) for a, b in lags]
+    ties = [None] + [_ties(a, b, eps) for a, b in lags]
+    pairs = [(j, k, j * tau, k - j) for j, k in combinations(range(m), 2)]
+    # Lehmer digits: digits_j = #{k > j sorted before j} starts at m - 1 - j.
+    digits = np.empty((m, n), dtype=np.int8)
+    digits[:] = np.arange(m - 1, -1, -1, dtype=np.int8)[:, None]
+    for j, _, at, d in pairs:
+        digits[j] -= before[d][at : at + n]
     tied = np.zeros(n, dtype=bool)
-    for j, k in combinations(range(m), 2):
-        before = (cols[j] <= cols[k]).view(np.int8)
-        ranks[k] += before
-        ranks[j] -= before
-        tied |= _ties(cols[j], cols[k], eps)
+    if any(tie.any() for tie in ties[1:]):
+        for _, _, at, d in pairs:
+            tied |= ties[d][at : at + n]
+
+    if ((config.scheme == SCHEME_ORIGINAL or not tied.any())
+            and math.factorial(m) <= n):
+        # The stable-sort order fixes each pattern: count the windows by
+        # their Lehmer key and translate each distinct key once.
+        dtype = _key_dtype(m)
+        keys = np.zeros(n, dtype=dtype)
+        for j in range(m - 1):
+            keys += digits[j] * dtype.type(math.factorial(m - 1 - j))
+        keys, counts = np.unique(keys, return_counts=True)
+        codes = _key_codes(keys, m)
+        order = np.argsort(codes)
+        return codes[order], counts[order], tied
+
+    ranks = digits  # rank_k = digits_k + #{j < k sorted before k}
+    for j, k, at, d in pairs:
+        ranks[k] += before[d][at : at + n]
     labels = range(1, m + 1)
     if config.scheme == SCHEME_EQUAL_VALUE and tied.any():
         # Minima flow along tied pairs until none changes (for eps = 0 the
         # components are equality classes, and one pass reaches every minimum).
-        labels = np.repeat(np.arange(1, m + 1, dtype=np.int8)[:, None], n, 1)
+        labels = np.empty((m, n), dtype=np.int8)
+        labels[:] = np.arange(1, m + 1, dtype=np.int8)[:, None]
         while True:
             previous = labels.copy()
-            for j, k in combinations(range(m), 2):
-                tie = _ties(cols[j], cols[k], eps)
+            for j, k, at, d in pairs:
+                tie = ties[d][at : at + n]
                 np.minimum(labels[k], labels[j], out=labels[k], where=tie)
                 np.minimum(labels[j], labels[k], out=labels[j], where=tie)
             if eps == 0 or np.array_equal(labels, previous):
                 break
+    codes, counts = np.unique(_placed_codes(labels, ranks, m),
+                              return_counts=True)
+    return codes, counts, tied
+
+
+def _key_codes(keys: np.ndarray, m: int) -> np.ndarray:
+    """Codes of the tie-free patterns with the given Lehmer keys."""
+    digits = np.empty((m, len(keys)), dtype=np.int8)
+    rest = keys.astype(np.int64)
+    for j in range(m):
+        digits[j], rest = np.divmod(rest, math.factorial(m - 1 - j))
+    # Right-to-left insertion: sample j lands at rank digits_j among the
+    # later samples, and each of them at or above that rank moves up one.
+    ranks = digits
+    for j in range(m - 2, -1, -1):
+        ranks[j + 1 :] += ranks[j + 1 :] >= ranks[j]
+    return _placed_codes(range(1, m + 1), ranks, m)
+
+
+def _placed_codes(labels, ranks: np.ndarray, m: int) -> np.ndarray:
+    """Codes placing each row of ``labels`` at the digit of its ``ranks`` row."""
     # "clip" only skips the bounds check, as ranks lie in 0..m-1; reusing
     # ``term`` saves a fresh array per column, which costs more than a gather.
+    n = ranks.shape[1]
     codes, term = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     for label, rank in zip(labels, ranks):
         np.take(_code_weights(m), rank, out=term, mode="clip")
         term *= label
         codes += term
-    return codes, tied
+    return codes
 
 
 def _code_weights(m: int) -> np.ndarray:
@@ -184,7 +264,7 @@ def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
     x = checked_series(window)
     if len(x) != config.m:
         raise LengthMismatch(f"window has {len(x)} samples, config.m = {config.m}")
-    codes, _ = _encode(x, replace(config, tau=1))
+    codes, _, _ = _histogram(x, replace(config, tau=1))
     return _decode(codes, config.m, config.scheme)[0]
 
 

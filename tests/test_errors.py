@@ -48,6 +48,8 @@ _BAD_SERIES = {
                      "series must hold real numbers"),
     "text list": ([str(v) for v in _SAMPLES], InvalidParams,
                   "series must hold real numbers"),
+    "text object array": (np.array([str(v) for v in _SAMPLES], dtype=object),
+                          InvalidParams, "series must hold real numbers"),
     "2-D array": (np.arange(20.0).reshape(10, 2), InvalidParams,
                   "series must be one-dimensional"),
     "NaN": ([*_SAMPLES[:3], float("nan"), *_SAMPLES[4:]], NonFiniteSample,
@@ -85,7 +87,8 @@ def test_first_non_finite_sample_named(series, first):
 @pytest.mark.parametrize("series", [
     np.array(["1", "2"]), np.array([b"1", b"2"]), [[1.0, 2.0], [3.0]],
     np.array([1, 2], dtype="datetime64[s]"), np.array([1 + 0j, 2 + 0j]),
-    np.array([1, 2j], dtype=object), 1.0])
+    np.array([1, 2j], dtype=object), np.array([1.0, "2"], dtype=object),
+    np.array([1.0, b"2"], dtype=object), 1.0])
 def test_non_real_or_ragged_series_refused(series):
     with pytest.raises(InvalidParams, match="^series must"):
         checked_series(series)

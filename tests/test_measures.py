@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from irrev import (
     SeriesTooShort,
     amplitude_reverse,
     build_histogram,
+    extract_pattern,
     generate,
     measure,
     sweep,
@@ -61,8 +63,6 @@ class TestBuildHistogram:
 
     def test_matches_scalar_extractor(self):
         # The vectorized path must agree with extract_pattern per window.
-        from irrev import extract_pattern
-
         rng = np.random.default_rng(1)
         x = np.round(rng.standard_normal(200), 1)  # plenty of ties
         for scheme in ("original", "equal-value"):
@@ -334,6 +334,100 @@ class TestEncoderAgainstOracle:
         for tau in (1, 2):
             _check_against_oracle(np.array(x), EmbeddingConfig(
                 m=m, tau=tau, scheme=scheme, tie_epsilon=tie_epsilon))
+
+
+def _tie_free(n, seed):
+    return np.random.default_rng(seed).permutation(n) / n
+
+
+def _one_tied_window(n):
+    # A tie at lag 2 and tau 1 lies in exactly one m=3 window.
+    x = _tie_free(n, 5)
+    x[7] = x[5]
+    return x
+
+
+def _logistic(n):
+    return generate(ModelSpec("logistic", n))
+
+
+_RNG = np.random.default_rng(23)
+# name: (series, m, scheme, tie_epsilon, delays, whether the histogram is
+# counted by Lehmer keys, which needs the stable-sort order to fix every
+# pattern and at least m! windows).
+_PATH_CASES = {
+    **{f"tie-free m={m}": (
+        _tie_free(math.factorial(m) + 3 * (m - 1) if m <= 6 else 80, m), m,
+        "equal-value", 0.0, (1, 2, 3), m <= 6) for m in range(2, 16)},
+    "tie-free m=7, m! windows": (_logistic(5060), 7, "equal-value", 0.0,
+                                 (1,), True),
+    "one tied window": (_one_tied_window(40), 3, "equal-value", 0.0, (1,),
+                        False),
+    "one tied window, original": (_one_tied_window(40), 3, "original", 0.0,
+                                  (1,), True),
+    "ties, original": (_RNG.integers(0, 4, 300).astype(float), 4, "original",
+                       0.0, (1, 2, 3), True),
+    "signed zeros, original": (_RNG.choice([0.0, -0.0, 1.0, -1.0], 300), 3,
+                               "original", 0.0, (1, 2, 3), True),
+    "signed zeros, equal-value": (_RNG.choice([0.0, -0.0, 1.0, -1.0], 300), 3,
+                                  "equal-value", 0.0, (1, 2, 3), False),
+    "epsilon, no tie within it": (_tie_free(400, 7), 4, "equal-value", 1e-3,
+                                  (1, 2, 3), True),
+    "epsilon, ties within it": (_tie_free(400, 7), 4, "equal-value", 0.01,
+                                (1, 2, 3), False),
+    "epsilon, original": (_tie_free(400, 7), 4, "original", 0.01, (1, 2, 3),
+                          True),
+}
+
+
+class TestEncoderPaths:
+    @pytest.fixture()
+    def keyed(self, monkeypatch):
+        """Calls of the key translation, counted."""
+        calls = []
+        real = ordinal._key_codes
+
+        def counting(keys, m):
+            calls.append(m)
+            return real(keys, m)
+
+        monkeypatch.setattr(ordinal, "_key_codes", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", _PATH_CASES)
+    def test_histograms_values_and_windows_agree_with_oracle(self, case, keyed):
+        x, m, scheme, eps, delays, by_key = _PATH_CASES[case]
+        for tau in delays:
+            cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme, tie_epsilon=eps)
+            keyed.clear()
+            build_histogram(x, cfg)
+            assert bool(keyed) == by_key
+            _check_against_oracle(x, cfg)
+            for i in range(min(40, len(x) - (m - 1) * tau)):
+                w = x[i : i + (m - 1) * tau + 1 : tau]
+                assert extract_pattern(w, dataclasses.replace(cfg, tau=1)).labels == \
+                    _ordinal_labels(list(w), scheme, eps)
+
+    @pytest.mark.parametrize("m", range(2, 16))
+    def test_key_translation_matches_the_label_order(self, m):
+        # Keys in the factorial number system, decoded by hand: digit c_j,
+        # of weight (m - 1 - j)!, is the number of later samples that sort
+        # before sample j, so sample j goes in at c_j among the later ones.
+        keys = (np.arange(math.factorial(m)) if m <= 6 else np.unique(
+            np.random.default_rng(m).integers(0, math.factorial(m), 300)))
+        expected = []
+        for key in keys.tolist():
+            digits = []
+            for j in range(m):
+                digit, key = divmod(key, math.factorial(m - 1 - j))
+                digits.append(digit)
+            order = []  # positions in ascending value order
+            for j in reversed(range(m)):
+                order.insert(digits[j], j)
+            window = [order.index(pos) for pos in range(m)]
+            labels = _ordinal_labels(window, "original", 0.0)
+            expected.append(ordinal._pattern_code(labels, m, labels))
+        assert ordinal._key_codes(keys, m).tolist() == expected
 
 
 @st.composite
@@ -809,3 +903,16 @@ def test_exact_value_beyond_int64_numerators(h, g, value):
     # Counts past 2**30 windows: the numerator sums no longer fit in int64.
     n = sum(h)
     assert measures._exact_value(np.array(h), np.array(g), n) == value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_value_is_the_fraction_sum_rounded_once(seed):
+    # One Fraction per term, reduced at every step, rounded once at the end.
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, 60, size=400) * rng.integers(0, 2, size=400)
+    g = rng.permutation(h)
+    h, g = h[h + g > 0], g[h + g > 0]  # every code of a support has a count
+    n = int(h.sum())
+    expected = sum(Fraction(int(max(a, b)) * int(abs(a - b)), int(a + b))
+                   for a, b in zip(h, g)) / (2 * n)
+    assert measures._exact_value(h, g, n) == float(expected)

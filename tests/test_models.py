@@ -130,6 +130,18 @@ class TestSpecValidation:
                            match=f"^{name} must be a finite real number"):
             ModelSpec("gaussian", 10, params={"seed": 1, name: value})
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("logistic", "r", "4"), ("logistic", "x1", None), ("henon", "beta", [0.3]),
+        ("henon", "y1", 1j)])
+    def test_map_parameter_must_be_a_real_number(self, kind, name, value):
+        with pytest.raises(InvalidParams,
+                           match=f"^{name} must be a real number, got "):
+            ModelSpec(kind, 10, params={name: value})
+
+    def test_map_parameter_of_numpy_type_accepted(self):
+        spec = ModelSpec("logistic", 3, params={"r": np.float64(4), "x1": 0.25})
+        assert generate(spec).tolist() == [0.25, 0.75, 0.75]
+
     def test_largest_describable_array_is_the_bound(self):
         # Checked only, never allocated.
         assert _MAX_SAMPLES == np.iinfo(np.intp).max // 8

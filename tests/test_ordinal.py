@@ -79,6 +79,19 @@ class TestEmbeddingConfig:
             EmbeddingConfig(m=16)
 
 
+class TestPatternLabels:
+    @pytest.mark.parametrize("labels", [
+        (1.5, 2), (2.0, 1), ("1", "2"), "12", (np.float64(1), 2), (None, 1), 3])
+    def test_non_integer_labels_refused(self, labels):
+        with pytest.raises(InvalidParams,
+                           match="^pattern labels must be integers, got "):
+            Pattern(labels)
+
+    def test_integer_types_stored_as_int(self):
+        labels = Pattern((np.int64(2), np.uint8(1), True)).labels
+        assert labels == (2, 1, 1) and all(type(v) is int for v in labels)
+
+
 class TestExtractPattern:
     def test_tie_free_window(self):
         assert extract_pattern([3, 1, 9, 5, 7], EV).labels == (2, 1, 4, 5, 3)
