@@ -300,7 +300,7 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
                 rows.append(f"{name},{kind},{config.m},{rep.value:.17g},"
                             f"{lo:.17g},{hi:.17g}")
     dio._durable_write(os.path.join(out_dir, "table.csv"),
-                       "\n".join(rows) + "\n")
+                       ("\n".join(rows) + "\n",))
     _write_document(os.path.join(out_dir, "report.json"),
                     provenance={"seed": seed, "n_surrogates": n_surrogates,
                                 "max_iterations": params.max_iterations,

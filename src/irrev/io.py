@@ -11,6 +11,11 @@ is an object of five lists of one length (``counterpart``,
 ``p_counterpart``, ``p_forward``, ``pattern``, ``ys``). Schema "1", with
 one object per pair, is still read: its pairs are turned into the same
 five lists, and from there both versions share one reader.
+
+Every file is written to a sibling temp file, synced and renamed over the
+target. A report document is streamed list by list, so a write holds about
+one pair list's text and the memos of its label and number texts, never
+the whole document.
 """
 
 from __future__ import annotations
@@ -129,16 +134,19 @@ def write_series(series, path: str) -> None:
     samples = checked_series(series)
     if not len(samples):
         raise EmptyFile("refusing to write an empty series")
-    _durable_write(path, ("%.17g\n" * len(samples)) % tuple(samples.tolist()))
+    _durable_write(path, (("%.17g\n" * len(samples)) % tuple(samples.tolist()),))
 
 
-def _durable_write(path: str, text: str) -> None:
-    """Replace ``path`` atomically: sync a sibling temp file, rename it over."""
+def _durable_write(path: str, chunks) -> None:
+    """Replace ``path`` atomically by the text pieces of the iterable
+    ``chunks``: write them to a sibling temp file, sync it, rename it over.
+    If anything fails, the making of a piece included, the temp file is
+    removed and the target is left as it was."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -253,20 +261,21 @@ def report_from_dict(d: dict, config: EmbeddingConfig, lists: dict,
     )
 
 
-# ``json.dumps(..., sort_keys=True, indent=2)`` of a document, built in
+# ``json.dumps(..., sort_keys=True, indent=2)`` of a document, streamed in
 # pieces: the envelope of the document and of each report is rendered with an
-# empty ``reports`` list or ``pairs`` object, whose line is then replaced by
-# the items. Only keys of the document sit at an indent of 2 spaces, and only
-# keys of a report at 6, so each of those lines occurs once in its envelope.
+# empty ``reports`` list or ``pairs`` object and split at that value's line,
+# and the items are written between the two halves, one pair list at a time.
+# Only keys of the document sit at an indent of 2 spaces, and only keys of a
+# report at 6, so each of those lines occurs once in its envelope.
 _REPORT_KEY_INDENT = "      "
 _SAME_BIN_TEXT = json.dumps(SAME_BIN)
 
 
-def _splice(envelope: str, indent: str, key: str, empty: str, text: str) -> str:
-    """Put ``text`` in place of the ``empty`` value of ``key`` in ``envelope``."""
+def _split_at(envelope: str, indent: str, key: str, empty: str) -> tuple[str, str]:
+    """``envelope`` before and after the ``empty`` value of ``key``."""
     head, slot, tail = envelope.partition(f'\n{indent}"{key}": {empty},\n')
     assert slot, key
-    return f'{head}\n{indent}"{key}": {text},\n{tail}'
+    return f'{head}\n{indent}"{key}": ', f",\n{tail}"
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -318,19 +327,22 @@ class _PairTexts:
         return _memoised(self._numbers, column.view(np.int64), lambda fresh: map(
             _float_text, fresh.view(np.float64).tolist()))
 
-    def text(self, pairs: PairTable, indent: str) -> str:
+    def chunks(self, pairs: PairTable, indent: str):
+        """The text of ``pairs`` at ``indent``, one list at a time: each
+        list is rendered only once the one before it has been taken."""
         inner = indent + "  "
-        lists = (self._codes_text(pairs.m, pairs.counterpart_codes),
-                 self._numbers_text(pairs.p_counterpart),
-                 self._numbers_text(pairs.p_forward),
-                 self._codes_text(pairs.m, pairs.codes),
-                 self._numbers_text(pairs.ys))
-        return "{\n" + ",\n".join(
-            f'{inner}"{key}": {_json_list(items, inner)}'
-            for key, items in zip(_PAIR_KEYS, lists)) + "\n" + indent + "}"
+        lists = (lambda: self._codes_text(pairs.m, pairs.counterpart_codes),
+                 lambda: self._numbers_text(pairs.p_counterpart),
+                 lambda: self._numbers_text(pairs.p_forward),
+                 lambda: self._codes_text(pairs.m, pairs.codes),
+                 lambda: self._numbers_text(pairs.ys))
+        for opening, key, items in zip(chain(["{\n"], repeat(",\n")),
+                                       _PAIR_KEYS, lists):
+            yield f'{opening}{inner}"{key}": {_json_list(items(), inner)}'
+        yield "\n" + indent + "}"
 
 
-def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
+def _report_chunks(report: IrreversibilityReport, texts: _PairTexts):
     envelope = json.dumps({
         "kind": report.kind,
         "config": asdict(report.config),
@@ -340,34 +352,50 @@ def _report_text(report: IrreversibilityReport, texts: _PairTexts) -> str:
         "n_forbidden_counterparts": report.n_forbidden_counterparts,
         "pairs": {},
     }, sort_keys=True, indent=2).replace("\n", "\n    ")
-    return _splice(envelope, _REPORT_KEY_INDENT, "pairs", "{}",
-                   texts.text(report.pairs, _REPORT_KEY_INDENT))
+    head, tail = _split_at(envelope, _REPORT_KEY_INDENT, "pairs", "{}")
+    yield head
+    yield from texts.chunks(report.pairs, _REPORT_KEY_INDENT)
+    yield tail
+
+
+def _document_chunks(doc: ReportDocument):
+    """The text of ``doc`` in pieces, each report's pair lists one by one."""
+    texts = _PairTexts()
+    head, tail = _split_at(json.dumps({
+        "schema_version": doc.schema_version,
+        "provenance": doc.provenance,
+        "reports": [],
+        "verdicts": [asdict(v) for v in doc.verdicts],
+    }, sort_keys=True, indent=2) + "\n", "  ", "reports", "[]")
+    yield head
+    if doc.reports:
+        for opening, report in zip(chain(["[\n    "], repeat(",\n    ")),
+                                   doc.reports):
+            yield opening
+            yield from _report_chunks(report, texts)
+        yield "\n  ]"
+    else:
+        yield "[]"
+    yield tail
 
 
 def write_report(doc: ReportDocument, path: str) -> None:
     """Serialize a document as sorted-key UTF-8 JSON; durable on return.
 
     Only schema :data:`SCHEMA_VERSION` ("2") is written; a document of any
-    other version raises :class:`InvalidParams`. Each report's ``pairs`` is
-    an object of five lists of one length, ``counterpart``,
-    ``p_counterpart``, ``p_forward``, ``pattern`` and ``ys``. The bytes are
-    those of ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline.
-    Only the envelope goes through ``json``; the lists are rendered straight
-    from the columns of each report's :class:`PairTable`.
+    other version raises :class:`InvalidParams` before any file is opened.
+    Each report's ``pairs`` is an object of five lists of one length,
+    ``counterpart``, ``p_counterpart``, ``p_forward``, ``pattern`` and
+    ``ys``. The bytes are those of ``json.dumps(..., sort_keys=True,
+    indent=2)`` plus a newline. Only the envelope goes through ``json``;
+    the lists are rendered straight from the columns of each report's
+    :class:`PairTable`. The document is written list by list, so a write
+    holds about one pair list's text and the memos, not the document.
     """
     if doc.schema_version != SCHEMA_VERSION:
         raise InvalidParams(f"only schema_version {SCHEMA_VERSION!r} is "
                             f"written, got {doc.schema_version!r}")
-    texts = _PairTexts()
-    envelope = json.dumps({
-        "schema_version": doc.schema_version,
-        "provenance": doc.provenance,
-        "reports": [],
-        "verdicts": [asdict(v) for v in doc.verdicts],
-    }, sort_keys=True, indent=2) + "\n"
-    reports = [_report_text(r, texts) for r in doc.reports]
-    _durable_write(path, _splice(envelope, "  ", "reports", "[]",
-                                 _json_list(reports, "  ")))
+    _durable_write(path, _document_chunks(doc))
 
 
 def read_report(path: str) -> ReportDocument:
@@ -417,4 +445,4 @@ def write_sweep_csv(reports, path: str) -> None:
             f"{r.kind},{r.config.m},{r.config.tau},{_fmt(r.value)},"
             f"{r.n_windows},{r.n_forbidden_counterparts}"
         )
-    _durable_write(path, "\n".join(lines) + "\n")
+    _durable_write(path, ("\n".join(lines) + "\n",))

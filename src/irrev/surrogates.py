@@ -105,26 +105,54 @@ def _ranks(y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return order
 
 
+# Largest sample magnitudes whose spectrum, and its squares in the spectrum
+# error, stay far inside the float64 range at any practical length.
+_SAFE_MAGNITUDES = (2.0**-200, 2.0**200)
+
+
 @dataclass(frozen=True)
 class IaaftSeries:
-    """What every IAAFT member of one series shares: computed once."""
+    """What every IAAFT member of one series shares: computed once.
+
+    The iterations run on ``x``, the series at its working scale, whose
+    spectrum is ``target_dc`` and ``target_mag`` and whose sorted values
+    are ``sorted_scaled``. ``sorted_x`` holds the sorted original values,
+    which every surrogate takes; it is ``sorted_scaled`` itself when the
+    series is not rescaled.
+    """
     x: np.ndarray
     target_dc: complex
     target_mag: np.ndarray
     sorted_x: np.ndarray
+    sorted_scaled: np.ndarray
 
 
 def prepare_iaaft(series) -> IaaftSeries:
-    """Validate ``series`` and compute its spectrum and sorted values."""
+    """Validate ``series`` and compute its spectrum and sorted values.
+
+    A series whose largest magnitude lies outside ``2**-200..2**200`` is
+    worked on at the power-of-two scale that brings that magnitude into
+    ``[0.5, 1)``, where its spectrum cannot overflow. The scale is exact
+    through every step of an iteration, so the ranks, the surrogate and
+    the relative spectrum errors are those the series would give if no
+    step overflowed or underflowed; a series inside the range is not
+    rescaled.
+    """
     x = checked_series(series)
     n = len(x)
     if n < 8:
         raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
     if np.all(x == x[0]):
         raise DegenerateSeries("constant series has no non-DC spectral content")
-    target = np.fft.rfft(x)
-    return IaaftSeries(x=x, target_dc=target[0], target_mag=np.abs(target),
-                       sorted_x=np.sort(x))
+    sorted_x = np.sort(x)
+    top = max(-sorted_x[0], sorted_x[-1])
+    scaled, sorted_scaled = x, sorted_x
+    if not _SAFE_MAGNITUDES[0] <= top <= _SAFE_MAGNITUDES[1]:
+        exponent = -int(np.frexp(top)[1])
+        scaled, sorted_scaled = np.ldexp(x, exponent), np.ldexp(sorted_x, exponent)
+    target = np.fft.rfft(scaled)
+    return IaaftSeries(x=scaled, target_dc=target[0], target_mag=np.abs(target),
+                       sorted_x=sorted_x, sorted_scaled=sorted_scaled)
 
 
 def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
@@ -134,7 +162,8 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
     so concurrent calls are safe and give the bytes of sequential ones.
     """
     index = checked_int("index", index, 0, _MASK64 - 1)  # no alias of index + 1
-    x, target_mag, sorted_x = prepared.x, prepared.target_mag, prepared.sorted_x
+    x, target_mag = prepared.x, prepared.target_mag
+    sorted_scaled = prepared.sorted_scaled
     n = len(x)
     rng = np.random.default_rng(mix_seed(params.seed, index))
     cur = x[rng.permutation(n)]
@@ -163,7 +192,7 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
 
         # The tie check gathers into cur, which the scatter then overwrites.
         order = _ranks(y, cur)
-        cur[order] = sorted_x
+        cur[order] = sorted_scaled
         if prev_order is not None and np.array_equal(order, prev_order):
             converged = True
             break
@@ -171,6 +200,8 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
 
     np.fft.rfft(cur, out=f)
     final_err = _rel_spectrum_error(np.abs(f, out=mag), target_mag)
+    if sorted_scaled is not prepared.sorted_x:  # back to the original scale
+        cur[order] = prepared.sorted_x
     diagnostics = IaaftDiagnostics(
         iterations_used=iterations,
         spectrum_rms_error=final_err,

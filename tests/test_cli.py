@@ -4,6 +4,7 @@ import os
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 from irrev import (
@@ -18,6 +19,7 @@ from irrev import (
     surrogates,
 )
 from irrev.cli import main
+from irrev.io import write_series
 
 
 def run(capsys, *argv):
@@ -195,6 +197,23 @@ class TestSurrogateTest:
         assert len(doc["verdicts"][0]["surrogate_values"]) == 20
         assert doc["provenance"]["n_surrogates"] == 20
         assert doc["provenance"]["max_iterations"] == 1000
+
+    @pytest.mark.parametrize("scale", [2.0**1017, 1e306, 2.0**-1030])
+    def test_extreme_scale_keeps_the_verdict(self, capsys, tmp_path, scale):
+        # The spectrum once overflowed here: every surrogate was the same and
+        # the verdict read significant_below true.
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(4096))
+        lines = []
+        for name, x in (("walk", walk), ("scaled", walk * scale)):
+            path = tmp_path / f"{name}.txt"
+            write_series(x, str(path))
+            code, stdout, _ = run(
+                capsys, "surrogate-test", "--input", str(path), "--m", "3",
+                "--n-surrogates", "20", "--max-iterations", "50", "--seed", "1")
+            assert code == 0
+            lines.append(stdout.split())
+        assert lines[1][-2:] == lines[0][-2:] == ["false", "false"]
+        assert lines[1] == lines[0]  # ordinal values: the band is the same too
 
     def test_constant_input_is_numeric_error(self, capsys, constant_file):
         code, _, _ = run(capsys, "surrogate-test", "--input", constant_file,

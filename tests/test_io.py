@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,6 +634,65 @@ class TestParseCodesMatchesIntParse:
         assert irrev_io._parse_codes(["1,2,3", "3,1,2"], 3).tolist() == [
             reference_pattern_code("1,2,3", 3),
             reference_pattern_code("3,1,2", 3)]
+
+
+@pytest.fixture(scope="module")
+def tied_m6_document():
+    """TIR and AIR at m=6 of 20000 Gaussian samples rounded to 0.1."""
+    x = np.round(np.random.default_rng(3).standard_normal(20000), 1)
+    return ReportDocument(provenance={"case": "tied m=6"},
+                          reports=[measure(x, EmbeddingConfig(m=6), kind)
+                                   for kind in ("TIR", "AIR")])
+
+
+class _WriteFailed(Exception):
+    pass
+
+
+class TestWriteReportStreams:
+    def test_write_holds_less_than_twice_the_file(self, tmp_path,
+                                                  tied_m6_document):
+        path = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            write_report(tied_m6_document, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    @staticmethod
+    def _assert_no_trace(tmp_path, doc):
+        """A failing write of ``doc`` over an existing file leaves it as it was."""
+        path = tmp_path / "r.json"
+        path.write_bytes(b"old\n")
+        with pytest.raises(_WriteFailed):
+            write_report(doc, str(path))
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_failure_after_the_first_list_leaves_no_trace(
+            self, tmp_path, monkeypatch, tied_m6_document):
+        sizes = []
+
+        def failing_numbers_text(texts, column):
+            # The counterpart list comes first and is in the temp file by now.
+            sizes.extend(os.path.getsize(tmp_path / name)
+                         for name in os.listdir(tmp_path) if name.endswith(".tmp"))
+            raise _WriteFailed
+
+        monkeypatch.setattr(irrev_io._PairTexts, "_numbers_text",
+                            failing_numbers_text)
+        self._assert_no_trace(tmp_path, tied_m6_document)
+        assert len(sizes) == 1 and sizes[0] > 0
+
+    def test_failed_fsync_leaves_no_trace(self, tmp_path, monkeypatch,
+                                          tied_m6_document):
+        def failing_fsync(fd):
+            raise _WriteFailed
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        self._assert_no_trace(tmp_path, tied_m6_document)
 
 
 class TestSweepCsv:

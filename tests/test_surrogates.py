@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from irrev import (
     DegenerateSeries,
@@ -139,6 +139,58 @@ class TestIaaft:
         assert mix_seed(0, 0) == 16294208416658607535
         assert mix_seed(0, 1) == 7960286522194355700
         assert mix_seed(1, 0) == 10451216379200822465
+
+
+# A random walk whose magnitudes span about 2**-8..2**5; ``x * 2**k`` is
+# exact for k in -1019..1019.
+_WALK = np.cumsum(np.random.default_rng(0).standard_normal(512))
+
+
+class TestIaaftAtAnyScale:
+    """A power-of-two scale is exact through every IAAFT step, so it carries
+    through to the surrogate, bit for bit, at any finite scale."""
+
+    PARAMS = IaaftParams(seed=1, max_iterations=30)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-1100, 1100))
+    @example(k=200)  # just outside and inside each end of the safe range
+    @example(k=194)
+    @example(k=-200)
+    @example(k=-208)
+    @example(k=515)  # the spectrum error was NaN here
+    @example(k=1017)  # the surrogates were all one here
+    @example(k=-1019)
+    def test_scale_commutes_with_iaaft(self, k):
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(_WALK, k)
+        assume(np.array_equal(np.ldexp(scaled, -k), _WALK))  # x * 2**k is exact
+        surrogate, diagnostics = iaaft(scaled, self.PARAMS, 2)
+        expected, expected_diagnostics = iaaft(_WALK, self.PARAMS, 2)
+        assert np.array_equal(surrogate, np.ldexp(expected, k))
+        assert diagnostics == expected_diagnostics
+
+    @pytest.mark.parametrize("scale", [1e306, 2.0**-1030])
+    def test_inexact_extremes_keep_the_ranks(self, scale):
+        # Subnormal samples lose bits, and 1e306 is no power of two, but
+        # the ranks, so every ordinal value of a surrogate, stay the same.
+        surrogate, diagnostics = iaaft(_WALK * scale, self.PARAMS, 2)
+        expected, expected_diagnostics = iaaft(_WALK, self.PARAMS, 2)
+        assert np.array_equal(np.argsort(surrogate, kind="stable"),
+                              np.argsort(expected, kind="stable"))
+        assert np.array_equal(np.sort(surrogate), np.sort(_WALK * scale))
+        assert diagnostics.iterations_used == expected_diagnostics.iterations_used
+        assert diagnostics.spectrum_rms_error == pytest.approx(
+            expected_diagnostics.spectrum_rms_error, rel=1e-6)
+
+    def test_samples_at_both_ends_of_the_float_range(self):
+        x = _WALK.copy()
+        x[::7] = np.finfo(float).max
+        x[3::7] = 5e-324
+        surrogate, diagnostics = iaaft(x, self.PARAMS, 0)
+        assert np.array_equal(np.sort(surrogate), np.sort(x))
+        assert np.isfinite(diagnostics.spectrum_rms_error)
+        assert np.isfinite(diagnostics.initial_spectrum_rms_error)
 
 
 class TestIaaftParams:
