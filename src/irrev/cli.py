@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict
 
 import click
+import numpy as np
 
 from . import io as dio
 from . import __version__
@@ -100,6 +101,14 @@ def _read_series(input_path, fmt, delimiter, column, header):
                                           header))
 
 
+def _source_provenance(input_path, fmt, delimiter, column, header):
+    """What a series command read and with what: the file, its SHA-256,
+    the options it was read with and the numpy version."""
+    return {"input": input_path, "input_sha256": dio.file_sha256(input_path),
+            "format": fmt, "delimiter": delimiter, "column": column,
+            "header": header, "numpy_version": np.__version__}
+
+
 def _write_document(out, provenance, **fields):
     """Write a report document whose provenance names this tool version."""
     doc = dio.ReportDocument(
@@ -158,7 +167,8 @@ def analyze(measure_flag, m, tau, scheme, tie_epsilon, out, **source):
     for rep in reports:
         click.echo(f"{rep.kind} {m} {tau} {rep.value:.17g}")
     if out:
-        _write_document(out, provenance={"input": source["input_path"],
+        _write_document(out, provenance={**_source_provenance(**source),
+                                         "measure": measure_flag,
                                          "config": asdict(config)},
                         reports=reports)
 
@@ -217,7 +227,8 @@ def surrogate_test(measure_flag, m, tau, scheme, tie_epsilon, n_surrogates,
         f"{str(verdict.significant_below).lower()}"
     )
     if out:
-        _write_document(out, provenance={"input": source["input_path"],
+        _write_document(out, provenance={**_source_provenance(**source),
+                                         "measure": measure_flag,
                                          "seed": seed,
                                          "n_surrogates": n_surrogates,
                                          "max_iterations": max_iterations,

@@ -4,7 +4,8 @@ Formats are kept byte-stable: floats in text series and CSV tables use 17
 significant digits (enough to round-trip any double), JSON documents are
 written with sorted keys, and ``write -> read -> write`` is byte-identical.
 Report documents embed provenance (input, config, seed, tool version) so
-every published number can be regenerated.
+every published number can be regenerated. Series files are read into
+float64 arrays, a plain file a block of text at a time.
 
 Report documents are written in schema "2", where each report's ``pairs``
 is an object of five lists of one length (``counterpart``,
@@ -21,10 +22,12 @@ the whole document.
 from __future__ import annotations
 
 import csv as _csv
+import hashlib
 import json
 import math
 import os
 import uuid
+from array import array
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
@@ -79,50 +82,90 @@ def _parse_sample(text: str, line_no: int) -> float:
     return value
 
 
-def read_series(file: SeriesFile) -> list[float]:
-    """Read samples in file order; blank lines are ignored in plain format.
+def read_series(file: SeriesFile) -> np.ndarray:
+    """Read samples in file order, as a 1-D float64 array; blank lines are
+    ignored in plain format.
 
-    A plain file is parsed in bulk. Only a file the bulk parse rejects
-    (blank lines, the unicode minus, an unparsable or non-finite sample)
-    is scanned again line by line, which raises the exact line's error.
+    A plain file is parsed in bulk, one block of text at a time, straight
+    into float64 arrays. Only a file the bulk parse rejects (blank lines,
+    the unicode minus, an unparsable or non-finite sample) is scanned again
+    line by line, which raises the exact line's error. Neither path holds
+    the whole file text, its list of lines or a list of Python floats.
     """
     with open(file.path, "r", encoding="utf-8") as fh:
         if file.format == "plain":
-            samples = _bulk_samples(fh.read())
+            samples = _bulk_samples(fh)
             if samples is None:
                 fh.seek(0)
-                samples = [_parse_sample(line, line_no)
-                           for line_no, line in enumerate(fh, start=1)
-                           if line.strip()]
+                samples = _array(_parse_sample(line, line_no)
+                                 for line_no, line in enumerate(fh, start=1)
+                                 if line.strip())
         else:
-            samples = []
-            reader = _csv.reader(fh, delimiter=file.delimiter)
-            for line_no, row in enumerate(reader, start=1):
-                if file.header and line_no == 1:
-                    continue
-                if not row:
-                    continue
-                if file.column >= len(row):
-                    raise ParseError(
-                        line_no, file.delimiter.join(row),
-                        f"no column {file.column}",
-                    )
-                samples.append(_parse_sample(row[file.column], line_no))
+            samples = _array(_csv_samples(fh, file))
     if len(samples) < 2:
         raise EmptyFile(f"{file.path}: found {len(samples)} samples, need >= 2")
     return samples
 
 
-def _bulk_samples(text: str) -> list[float] | None:
-    """One finite float per line of ``text``, or None if any line is not."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final newline ends the last line
+def _csv_samples(fh, file: SeriesFile):
+    """The samples of column ``file.column`` of a CSV file, row by row."""
+    reader = _csv.reader(fh, delimiter=file.delimiter)
+    for line_no, row in enumerate(reader, start=1):
+        if file.header and line_no == 1:
+            continue
+        if not row:
+            continue
+        if file.column >= len(row):
+            raise ParseError(line_no, file.delimiter.join(row),
+                             f"no column {file.column}")
+        yield _parse_sample(row[file.column], line_no)
+
+
+def _array(samples) -> np.ndarray:
+    """The floats of the iterable ``samples`` as a float64 array, collected
+    without a list of Python floats."""
+    return np.frombuffer(array("d", samples), dtype=np.float64)
+
+
+# Characters of text parsed at a time by the bulk reader. A block's lines,
+# as strings, take four to five times its size.
+_BLOCK_CHARS = 1 << 18
+
+
+def _bulk_samples(fh) -> np.ndarray | None:
+    """One finite float per line of the text file ``fh``, as a float64
+    array, or None if any line is not or the text is not UTF-8 (whose
+    ``UnicodeDecodeError`` is a ``ValueError``; the line scan raises it).
+
+    The text is read in blocks of :data:`_BLOCK_CHARS` characters. The
+    lines a block completes are parsed into one array, and the text after
+    its last newline is carried into the next block.
+    """
+    blocks, rest = [], ""
     try:
-        samples = list(map(float, lines))
-    except ValueError:
+        while text := fh.read(_BLOCK_CHARS):
+            lines = (rest + text).split("\n")
+            rest = lines.pop()
+            blocks.append(_parsed(lines))
+        if rest:  # the last line has no final newline
+            blocks.append(_parsed([rest]))
+        return checked_series(np.concatenate(blocks) if blocks else np.empty(0))
+    except (ValueError, NonFiniteSample):
         return None
-    return samples if all(map(math.isfinite, samples)) else None
+
+
+def _parsed(lines: list[str]) -> np.ndarray:
+    """``float`` of each line, as a float64 array: ValueError if one is not."""
+    return np.fromiter(map(float, lines), np.float64, len(lines))
+
+
+def file_sha256(path: str) -> str:
+    """The hex SHA-256 of the bytes of the file ``path``."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_series(series, path: str) -> None:

@@ -234,6 +234,85 @@ class TestSurrogateTest:
         assert code == 1
 
 
+
+def _argv_from_provenance(command, provenance, out):
+    """The command line that ``provenance`` records, writing to ``out``."""
+    config = provenance["config"]
+    argv = [command, "--input", provenance["input"],
+            "--format", provenance["format"],
+            "--delimiter", provenance["delimiter"],
+            "--column", str(provenance["column"]),
+            "--header" if provenance["header"] else "--no-header",
+            "--measure", provenance["measure"],
+            "--m", str(config["m"]), "--tau", str(config["tau"]),
+            "--scheme", config["scheme"],
+            "--tie-epsilon", repr(config["tie_epsilon"]), "--out", out]
+    if command == "surrogate-test":
+        argv += ["--seed", str(provenance["seed"]),
+                 "--n-surrogates", str(provenance["n_surrogates"]),
+                 "--max-iterations", str(provenance["max_iterations"])]
+    return argv
+
+
+@pytest.fixture()
+def three_column_file(tmp_path):
+    """A ';'-separated CSV file with a header; column 2 is a rounded walk."""
+    walk = np.round(np.cumsum(
+        np.random.default_rng(2).standard_normal(600)), 1)
+    path = tmp_path / "walk.csv"
+    path.write_text("t;noise;walk\n" + "".join(
+        f"{i};{i % 7};{v!r}\n" for i, v in enumerate(walk.tolist())))
+    return str(path), walk
+
+
+class TestProvenance:
+    def test_csv_document_names_its_column(self, capsys, tmp_path,
+                                           three_column_file):
+        path, walk = three_column_file
+        report = tmp_path / "rep.json"
+        code, stdout, _ = run(capsys, "analyze", "--input", path,
+                              "--format", "csv", "--column", "2",
+                              "--delimiter", ";", "--header", "--m", "3",
+                              "--out", str(report))
+        assert code == 0
+        assert stdout == "".join(
+            f"{kind} 3 1 {measure(walk, EmbeddingConfig(m=3), kind).value:.17g}\n"
+            for kind in ("TIR", "AIR"))
+        provenance = json.loads(report.read_text())["provenance"]
+        with open(path, "rb") as fh:
+            sha256 = hashlib.sha256(fh.read()).hexdigest()
+        assert {key: provenance[key] for key in (
+            "input", "input_sha256", "format", "delimiter", "column", "header",
+            "measure", "numpy_version")} == {
+            "input": path, "input_sha256": sha256, "format": "csv",
+            "delimiter": ";", "column": 2, "header": True, "measure": "both",
+            "numpy_version": np.__version__}
+
+    @pytest.mark.parametrize("command, argv", [
+        ("analyze", ["--format", "csv", "--column", "2", "--delimiter", ";",
+                     "--header", "--measure", "AIR", "--m", "4", "--tau", "2",
+                     "--scheme", "original", "--tie-epsilon", "0.25"]),
+        ("analyze", ["--m", "3"]),
+        ("surrogate-test", ["--format", "csv", "--column", "2",
+                            "--delimiter", ";", "--header", "--measure", "AIR",
+                            "--m", "3", "--tau", "2", "--n-surrogates", "3",
+                            "--max-iterations", "20", "--seed", "7"]),
+    ])
+    def test_rerun_from_provenance_writes_the_same_bytes(
+            self, capsys, tmp_path, three_column_file, increasing_file,
+            command, argv):
+        path = three_column_file[0] if "csv" in argv else increasing_file
+        first = tmp_path / "first.json"
+        code, stdout, _ = run(capsys, command, "--input", path, *argv,
+                              "--out", str(first))
+        assert code == 0
+        provenance = json.loads(first.read_text())["provenance"]
+        again = tmp_path / "again.json"
+        rerun = run(capsys, *_argv_from_provenance(command, provenance,
+                                                   str(again)))
+        assert rerun[:2] == (0, stdout)
+        assert again.read_bytes() == first.read_bytes()
+
 class TestReproModels:
     def test_reduced_run(self, capsys, tmp_path):
         out_dir = tmp_path / "repro"

@@ -40,13 +40,13 @@ class TestReadSeries:
     def test_plain_with_blank_lines_and_unicode_minus(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("1.0\n\n2.5\n−3\n", encoding="utf-8")
-        assert read_series(SeriesFile(str(path))) == [1.0, 2.5, -3.0]
+        assert read_series(SeriesFile(str(path))).tolist() == [1.0, 2.5, -3.0]
 
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "rr.csv"
         path.write_text("t,rr\n0,800\n1,812\n")
         f = SeriesFile(str(path), format="csv", column=1, header=True)
-        assert read_series(f) == [800.0, 812.0]
+        assert read_series(f).tolist() == [800.0, 812.0]
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -106,7 +106,7 @@ class TestWriteSeries:
         x = list(rng.standard_normal(200))
         path = tmp_path / "rt.txt"
         write_series(x, str(path))
-        assert read_series(SeriesFile(str(path))) == x
+        assert read_series(SeriesFile(str(path))).tolist() == x
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(EmptyFile):
@@ -723,7 +723,7 @@ def _outcome(read, path):
 
 
 def _read_plain(path):
-    return read_series(SeriesFile(path))
+    return read_series(SeriesFile(path)).tolist()
 
 
 class TestReadSeriesMatchesLineReader:
@@ -761,7 +761,7 @@ class TestReadSeriesMatchesLineReader:
             raise AssertionError("parsed line by line")
 
         monkeypatch.setattr(irrev_io, "_parse_sample", per_line)
-        assert read_series(SeriesFile(str(path))) == [0.1, -2.5, 3.0]
+        assert read_series(SeriesFile(str(path))).tolist() == [0.1, -2.5, 3.0]
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -784,6 +784,99 @@ class TestReadSeriesMatchesLineReader:
         expected = _outcome(reference_read_series, str(path))
         assert _outcome(_read_plain, str(path)) == expected
 
+
+def _same_as_line_reader(path):
+    """``read_series`` of ``path`` has the bits of the line reader's samples,
+    or raises the error it raises."""
+    expected = _outcome(reference_read_series, str(path))
+    got = _outcome(lambda p: read_series(SeriesFile(p)), str(path))
+    if isinstance(expected, list):
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == np.array(expected).tobytes()
+    else:
+        assert got == expected
+
+
+def _past_one_block(tail: bytes, before: int) -> bytes:
+    """Clean lines and then ``tail``, whose first byte is ``before`` bytes
+    short of the end of the first parse block."""
+    offset = irrev_io._BLOCK_CHARS - before
+    return b"0.25\n" * (offset // 5) + b"7" * (offset % 5) + tail
+
+
+class TestReadSeriesArray:
+    @pytest.mark.parametrize("content, file", [
+        ("1\n-0.0\n2.5e-310\n", SeriesFile("s")),                  # bulk
+        ("1\n\n\u22120.0\n2\n", SeriesFile("s")),                 # per line
+        ("a;b\n0;1\n1;-0.0\n2;3\n", SeriesFile("s", "csv", ";", 1, True)),
+    ])
+    def test_one_dimensional_float64_on_every_path(self, tmp_path, content,
+                                                   file):
+        path = tmp_path / "s"
+        path.write_text(content, encoding="utf-8")
+        x = read_series(dataclasses.replace(file, path=str(path)))
+        assert type(x) is np.ndarray
+        assert (x.dtype, x.ndim, len(x)) == (np.float64, 1, 3)
+        assert np.signbit(x).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("tail, before", [
+        (b"123.5\n", 3),              # a line split by the block boundary
+        (b"9\r\n1\r\n", 2),           # "\r\n" split by it
+        (b"9\r\n1\r\n", 3),
+        (b"5\r6\r", 2),               # lone "\r" endings
+        (b"0.5\n-1e-320", 2),         # no final newline
+        (b"0.5\n-1e-320", -4),        # ... and the last line in block two
+        (b"0.5\nabc\n2\n", -10),      # a bad sample in block two
+        (b"0.5\nnan\n2\n", -10),      # a nan in block two
+        (b"0.5\n\n2\n", -10),         # a blank line in block two
+        (b"0.5\n1e999\n", 3),         # inf split by the boundary
+    ])
+    def test_past_one_block_same_as_line_reader(self, tmp_path, tail, before):
+        path = tmp_path / "long.txt"
+        path.write_bytes(_past_one_block(tail, before))
+        _same_as_line_reader(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("content", [
+        b"1.5\n-0.0\n22\n3e-320\n", b"1\r\n22\r\n333\r\n4",
+        b"1\r2\r\n3\n\n4", b"1\n2\nx\n3\n", b"1\n2\n3\ninf\n", b"1\n\n",
+        b"", b"12345678901234567\n2",
+    ])
+    def test_every_boundary_same_as_line_reader(self, tmp_path, monkeypatch,
+                                                block, content):
+        monkeypatch.setattr(irrev_io, "_BLOCK_CHARS", block)
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+        _same_as_line_reader(path)
+
+    def test_long_clean_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        x = np.random.default_rng(4).standard_normal(40000)
+        path = tmp_path / "long.txt"
+        write_series(x, str(path))
+        assert path.stat().st_size > 2 * irrev_io._BLOCK_CHARS
+
+        def per_line(text, line_no):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(irrev_io, "_parse_sample", per_line)
+        assert read_series(SeriesFile(str(path))).tobytes() == x.tobytes()
+
+    def test_read_holds_less_than_the_file_and_keeps_only_the_array(
+            self, tmp_path):
+        n = 250_000
+        path = tmp_path / "big.txt"
+        write_series(np.random.default_rng(5).standard_normal(n), str(path))
+        size = path.stat().st_size
+        assert size >= 5_000_000
+        tracemalloc.start()
+        try:
+            x = read_series(SeriesFile(str(path)))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(x) == n
+        assert kept <= 8 * n + 1024
+        assert peak < 1.5 * size
 
 _TRICKY_TEXT = st.sampled_from([
     '"pairs": [],', '"reports": [],', '\n  "reports": [],\n',
