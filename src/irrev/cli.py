@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or too-short
-input), 3 numeric error (diverged orbit, degenerate series). Flags win over
+input), 3 numeric error (diverged orbit, degenerate series), 4 failed
+benchmark expectation in ``repro-models``. Flags win over
 environment variables, named ``IRREV_<COMMAND>_<FLAG>`` (upper case, dashes
 as underscores), which win over built-in defaults. All randomness requires
 an explicit seed.
@@ -97,8 +98,11 @@ def _generated(spec: ModelSpec):
 
 
 def _read_series(input_path, fmt, delimiter, column, header):
-    return dio.read_series(dio.SeriesFile(input_path, fmt, delimiter, column,
-                                          header))
+    try:
+        return dio.read_series(dio.SeriesFile(input_path, fmt, delimiter,
+                                              column, header))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{input_path} is not UTF-8 text: {exc}") from None
 
 
 def _source_provenance(input_path, fmt, delimiter, column, header):

@@ -29,7 +29,7 @@ import os
 import uuid
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -250,60 +250,6 @@ def _parse_codes(texts: list, m: int) -> np.ndarray | None:
     return labels.reshape(-1, m) @ _code_weights(m)
 
 
-def _document_codes(reports: list, version: str) -> dict:
-    """``m -> {pattern string: code}`` (``SAME_BIN`` included) over the
-    ``(m, pair lists)`` of a document's reports.
-
-    The distinct strings of each ``m`` are parsed in one step. If that
-    fails, the strings are parsed one by one in document order, and the
-    first that is not ``m`` integer labels in ``1..m`` raises
-    :class:`InvalidPattern`.
-    """
-    texts_by_m = {}
-    for m, lists in reports:
-        texts_by_m.setdefault(m, []).append(_texts_in_order(lists, version))
-    codes_by_m = {}
-    for m, texts in texts_by_m.items():
-        try:
-            distinct = dict.fromkeys(chain.from_iterable(texts))
-        except TypeError:  # an unhashable pattern
-            break
-        distinct.pop(SAME_BIN, None)
-        fresh = list(distinct)
-        codes = _parse_codes(fresh, m)
-        if codes is None:
-            break
-        codes_by_m[m] = dict(zip(fresh, codes.tolist()))
-        codes_by_m[m][SAME_BIN] = _SAME_BIN_CODE
-    else:
-        return codes_by_m
-    for m, lists in reports:
-        for text in _texts_in_order(lists, version):
-            if text != SAME_BIN and _parse_codes([text], m) is None:
-                raise InvalidPattern(
-                    f"pattern {text!r} does not have {m} labels in 1..{m}")
-    raise AssertionError("the one-step parse rejected valid pattern strings")
-
-
-def report_from_dict(d: dict, config: EmbeddingConfig, lists: dict,
-                     codes: dict) -> IrreversibilityReport:
-    """Rebuild a report from its document fields, its parsed ``config``,
-    its five pair lists and the ``{pattern string: code}`` map of its m."""
-    return IrreversibilityReport(
-        kind=d["kind"],
-        config=config,
-        value=d["value"],
-        pairs=PairTable(
-            config.m, config.scheme,
-            list(map(codes.__getitem__, lists["pattern"])),
-            list(map(codes.__getitem__, lists["counterpart"])),
-            lists["p_forward"], lists["p_counterpart"], lists["ys"]),
-        n_observed_patterns=d["n_observed_patterns"],
-        n_forbidden_counterparts=d["n_forbidden_counterparts"],
-        n_windows=d["n_windows"],
-    )
-
-
 # ``json.dumps(..., sort_keys=True, indent=2)`` of a document, streamed in
 # pieces: the envelope of the document and of each report is rendered with an
 # empty ``reports`` list or ``pairs`` object and split at that value's line,
@@ -447,34 +393,63 @@ def read_report(path: str) -> ReportDocument:
     The document keeps the version its file holds; any other version raises
     :class:`InvalidParams`. A "1" report's pair objects are first turned
     into the five lists of a "2" report, which must have one length, else
-    :class:`InvalidParams`. The distinct pattern strings of the document
-    are parsed in one step per ``m``, and each must hold ``m`` integer
-    labels in ``1..m``, else the first bad string in document order raises
-    :class:`InvalidPattern`; so does ``SAME_BIN`` as a pattern. A pair value
-    or report field of the wrong type raises :class:`InvalidParams`, and so,
-    naming ``path``, does text that is not JSON or a missing or odd field.
-    Reports are otherwise trusted input: neither the realisability of a
-    pattern nor the numbers are re-checked. Each table decodes its own
-    codes when its pairs are first read.
+    :class:`InvalidParams`. Reports are read one at a time, each parsing
+    in one step the pattern strings no earlier report of its ``m`` held.
+    Each must hold ``m`` integer labels in ``1..m``, else the first bad
+    string in document order raises :class:`InvalidPattern`; so does
+    ``SAME_BIN`` as a pattern. A pair value or a report or verdict field of
+    the wrong type raises :class:`InvalidParams`, and so, naming ``path``,
+    does text that is not JSON (or not UTF-8, or nested too deeply) or a
+    missing or odd field. Reports are otherwise trusted input: neither the
+    realisability of a pattern nor the numbers are re-checked. Each table
+    decodes its own codes when its pairs are first read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _document(json.load(fh))
-        except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, AttributeError, json.JSONDecodeError,
+                UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParams(f"{path} is not a report document: {exc!r}") from exc
 
 
 def _document(d: dict) -> ReportDocument:
-    """The document of the decoded JSON ``d``: see :func:`read_report`."""
+    """The document of the decoded JSON ``d``: see :func:`read_report`.
+    Each ``m`` keeps a ``{pattern string: code}`` memo. The first bad string
+    of a report is that of the document, as every earlier report parsed."""
     version = checked_choice("schema_version", d["schema_version"], _READABLE_VERSIONS)
-    reports = [(r, EmbeddingConfig(**r["config"]),
-                _pair_lists(r["pairs"], version)) for r in d["reports"]]
-    codes_by_m = _document_codes(
-        [(config.m, lists) for _, config, lists in reports], version)
+    memos, reports = {}, []
+    for r in d["reports"]:
+        config = EmbeddingConfig(**r["config"])
+        lists = _pair_lists(r["pairs"], version)
+        codes = memos.setdefault(config.m, {SAME_BIN: _SAME_BIN_CODE})
+        try:  # in document order, so the memo's lookups stay in order too
+            fresh = list(dict.fromkeys(filterfalse(codes.__contains__, chain(
+                lists["counterpart"], lists["pattern"]))))
+            parsed = _parse_codes(fresh, config.m)
+        except TypeError:  # an unhashable pattern
+            parsed = None
+        if parsed is None:
+            for text in _texts_in_order(lists, version):
+                if text != SAME_BIN and _parse_codes([text], config.m) is None:
+                    raise InvalidPattern(f"pattern {text!r} does not have "
+                                         f"{config.m} labels in 1..{config.m}")
+        codes.update(zip(fresh, parsed.tolist()))
+        reports.append(IrreversibilityReport(
+            kind=r["kind"],
+            config=config,
+            value=r["value"],
+            pairs=PairTable(
+                config.m, config.scheme,
+                list(map(codes.__getitem__, lists["pattern"])),
+                list(map(codes.__getitem__, lists["counterpart"])),
+                lists["p_forward"], lists["p_counterpart"], lists["ys"]),
+            n_observed_patterns=r["n_observed_patterns"],
+            n_forbidden_counterparts=r["n_forbidden_counterparts"],
+            n_windows=r["n_windows"],
+        ))
     return ReportDocument(
         provenance=d["provenance"],
-        reports=[report_from_dict(r, config, lists, codes_by_m[config.m])
-                 for r, config, lists in reports],
+        reports=reports,
         verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
         schema_version=version,
     )

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSeries, DomainError, EmptyInput, SeriesTooShort,
-                     checked_choice, checked_int, checked_series)
-from .measures import _KINDS, measure, sweep
+from .errors import (DegenerateSeries, DomainError, EmptyInput, InvalidParams,
+                     SeriesTooShort, checked_choice, checked_int, checked_series)
+from .measures import _KINDS, _scalar, measure, sweep
 from .ordinal import EmbeddingConfig
 
 _MASK64 = (1 << 64) - 1
@@ -75,12 +75,30 @@ class IaaftDiagnostics:
 
 @dataclass(frozen=True)
 class SurrogateVerdict:
+    """A measure value against its surrogate band. The values are cast to
+    ``float`` and the flags to ``bool``; a field of another type raises
+    :class:`InvalidParams` naming it."""
+
     original_value: float
     surrogate_values: list[float]
     p2_5: float
     p97_5: float
     significant_above: bool
     significant_below: bool
+
+    def __post_init__(self):
+        for name in ("original_value", "p2_5", "p97_5"):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), float))
+        if not isinstance(self.surrogate_values, list):
+            raise InvalidParams("surrogate_values must be a list, "
+                                f"got {self.surrogate_values!r}")
+        object.__setattr__(self, "surrogate_values", [
+            _scalar("surrogate_values", v, float) for v in self.surrogate_values])
+        for name in ("significant_above", "significant_below"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise InvalidParams(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
 
 
 def _rel_spectrum_error(mag: np.ndarray, target_mag: np.ndarray) -> float:

@@ -509,6 +509,24 @@ def test_bad_flag_is_usage_error(capsys, increasing_file, tmp_path, argv):
     assert not (tmp_path / "repro").exists()
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--m", "2", "--out", "{tmp}/r.json"],
+    ["sweep", "--m", "2", "--out", "{tmp}/s.csv"],
+    ["surrogate-test", "--m", "2", "--seed", "1", "--n-surrogates", "2"],
+])
+def test_non_utf8_input_is_data_error(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1\n2\n\xff\n3\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, stdout, err = run(capsys, *argv, "--input", str(path),
+                            "--format", fmt)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"data error: {path} is not UTF-8 text: ")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.txt"]
+
+
 # Every flag of every command, with a value that changes the outcome of a
 # command line. {out} is a fresh directory per run.
 _SERIES_COMMANDS = {

@@ -214,8 +214,9 @@ def _set_pair_field(pairs, i, key, value):
         pairs[key][i] = value
 
 
-# Edits of a document at a key path: delete the item, or cut the text in half.
-_DELETE, _TRUNCATE = object(), object()
+# Edits of a document at a key path: delete the item, or cut the text in
+# half, put a byte that is not UTF-8 into it or replace it by deep nesting.
+_DELETE, _TRUNCATE, _NOT_UTF8, _TOO_DEEP = object(), object(), object(), object()
 
 
 def _at(doc, where):
@@ -424,6 +425,25 @@ class TestReportDocument:
                 read_report(str(path))
 
     @pytest.mark.parametrize("version", ["1", "2"])
+    def test_first_bad_string_across_interleaved_m_named(self, tmp_path,
+                                                         version):
+        # Reports of m = 3, 4, 3: the m=4 report's bad string comes first in
+        # the document, so it is named before the later m=3 report's. It is
+        # a good m=3 string, which an m=3 memo must not lend to m=4.
+        x = np.random.default_rng(2).integers(0, 4, size=300).astype(float)
+        doc = ReportDocument(provenance={}, schema_version=version, reports=[
+            measure(x, EmbeddingConfig(m=m), kind)
+            for m, kind in ((3, "TIR"), (4, "TIR"), (3, "AIR"))])
+        d = json.loads(reference_report_text(doc))
+        bad = _pair_field(d["reports"][0]["pairs"], 0, "pattern")
+        _set_pair_field(d["reports"][1]["pairs"], 0, "pattern", bad)
+        _set_pair_field(d["reports"][2]["pairs"], 0, "pattern", "9,9,9")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidPattern, match=f"'{bad}' does not have 4"):
+            read_report(str(path))
+
+    @pytest.mark.parametrize("version", ["1", "2"])
     def test_patterns_parsed_once_per_document(self, tmp_path, monkeypatch,
                                                version):
         path = tmp_path / "r.json"
@@ -468,6 +488,37 @@ class TestReportDocument:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidParams, match=f"{field} must be"):
             read_report(str(path))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("original_value", "x"), ("original_value", None), ("p2_5", None),
+        ("p97_5", [0.5]), ("surrogate_values", "abc"),
+        ("surrogate_values", {"a": 1}), ("surrogate_values", [0.5, "x"]),
+        ("surrogate_values", [None]), ("significant_above", 3),
+        ("significant_above", None), ("significant_below", "true"),
+        ("significant_below", 0.0)])
+    def test_bad_verdict_field_rejected_on_read(self, tmp_path, field, bad):
+        path = tmp_path / "bad.json"
+        write_report(ReportDocument(provenance={}, verdicts=[_SPECIAL_VERDICT]),
+                     str(path))
+        doc = json.loads(path.read_text())
+        doc["verdicts"][0][field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParams, match=f"^{field} must be"):
+            read_report(str(path))
+
+    def test_numpy_verdict_fields_are_cast(self, tmp_path):
+        verdict = SurrogateVerdict(np.float32(0.5), [np.float64(0.25), 1, True],
+                                   np.int64(0), 1, np.True_, np.bool_(False))
+        assert verdict == SurrogateVerdict(0.5, [0.25, 1.0, 1.0], 0.0, 1.0,
+                                           True, False)
+        assert all(type(v) is float for v in (
+            verdict.original_value, verdict.p2_5, verdict.p97_5,
+            *verdict.surrogate_values))
+        assert type(verdict.significant_above) is bool
+        assert type(verdict.significant_below) is bool
+        path = tmp_path / "v.json"
+        write_report(ReportDocument(provenance={}, verdicts=[verdict]), str(path))
+        assert read_report(str(path)).verdicts == [verdict]
 
     def test_config_and_verdict_bytes(self, tmp_path):
         verdict = SurrogateVerdict(
@@ -559,6 +610,9 @@ class TestReportDocument:
         ("2", (), ["a list"]),
         ("2", (), _TRUNCATE),
         ("1", (), _TRUNCATE),
+        ("2", (), _NOT_UTF8),
+        ("1", (), _NOT_UTF8),
+        ("2", (), _TOO_DEEP),
     ])
     def test_broken_document_is_invalid_params(self, tmp_path, version, where,
                                                new):
@@ -568,10 +622,17 @@ class TestReportDocument:
             del _at(doc, where[:-1])[where[-1]]
         elif where:
             _at(doc, where[:-1])[where[-1]] = new
-        elif new is not _TRUNCATE:
+        elif new not in (_TRUNCATE, _NOT_UTF8, _TOO_DEEP):
             doc = new
         text = json.dumps(doc)
-        path.write_text(text[:len(text) // 2] if new is _TRUNCATE else text)
+        if new is _TRUNCATE:
+            text = text[:len(text) // 2]
+        elif new is _TOO_DEEP:
+            text = "[" * 100000
+        data = text.encode("utf-8")
+        if new is _NOT_UTF8:
+            data = data.replace(b'"memory"', b'"mem\xffory"')
+        path.write_bytes(data)
         with pytest.raises(InvalidParams,
                            match=f"^{path} is not a report document: "):
             read_report(str(path))
