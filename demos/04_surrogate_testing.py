@@ -17,7 +17,7 @@ from irrev import (
     ModelSpec,
     generate,
     iaaft,
-    significance_test,
+    significance_tests,
 )
 
 x = generate(ModelSpec("logistic", 4096))
@@ -36,8 +36,9 @@ for name, series in [
     ("logistic", x),
     ("gaussian", np.random.default_rng(1).standard_normal(4096)),
 ]:
-    for kind in ("TIR", "AIR"):
-        v = significance_test(series, cfg, kind, params)
+    # One ensemble per series serves both kinds.
+    _, verdicts = significance_tests(series, [cfg], ("TIR", "AIR"), params)
+    for (kind, _), v in verdicts.items():
         print(f"{name:9} {kind}: original {v.original_value:.5f}  "
               f"band [{v.p2_5:.5f}, {v.p97_5:.5f}]  "
               f"above={v.significant_above} below={v.significant_below}")

@@ -50,6 +50,7 @@ from .surrogates import (
     percentile_band,
     percentile_nearest_rank,
     significance_test,
+    significance_tests,
 )
 
 __version__ = "0.1.0"

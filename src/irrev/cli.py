@@ -23,8 +23,7 @@ from .errors import DataError, InvalidParams, NumericError, checked_real
 from .measures import KIND_AIR, KIND_TIR, measure, sweep
 from .models import ModelSpec, generate as generate_series, paper_length
 from .ordinal import EmbeddingConfig
-from .surrogates import (IaaftParams, ensemble_values, percentile_band,
-                         significance_test)
+from .surrogates import IaaftParams, significance_test, significance_tests
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -303,17 +302,13 @@ def repro_models(out_dir, seed, n_surrogates, m_max, n):
         series = _generated(spec)
         os.makedirs(out_dir, exist_ok=True)
         dio.write_series(series, os.path.join(out_dir, f"{name}.txt"))
-        ensemble = ensemble_values(series, params, configs, kinds)
-        originals = {(rep.kind, rep.config): rep
-                     for rep in sweep(series, ms, [1])}
-        for config in configs:
-            for kind in kinds:
-                rep = originals[(kind, config)]
-                values[(name, kind, config.m)] = rep.value
-                reports.append(rep)
-                lo, hi = percentile_band(ensemble[(kind, config)])
-                rows.append(f"{name},{kind},{config.m},{rep.value:.17g},"
-                            f"{lo:.17g},{hi:.17g}")
+        originals, verdicts = significance_tests(series, configs, kinds, params)
+        for (kind, config), rep in originals.items():
+            verdict = verdicts[(kind, config)]
+            values[(name, kind, config.m)] = rep.value
+            reports.append(rep)
+            rows.append(f"{name},{kind},{config.m},{rep.value:.17g},"
+                        f"{verdict.p2_5:.17g},{verdict.p97_5:.17g}")
     dio._durable_write(os.path.join(out_dir, "table.csv"),
                        ("\n".join(rows) + "\n",))
     _write_document(os.path.join(out_dir, "report.json"),

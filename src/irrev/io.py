@@ -108,17 +108,22 @@ def read_series(file: SeriesFile) -> np.ndarray:
 
 
 def _csv_samples(fh, file: SeriesFile):
-    """The samples of column ``file.column`` of a CSV file, row by row."""
+    """The samples of column ``file.column`` of a CSV file, row by row. A
+    row the csv module refuses (a field past its size limit) is a
+    :class:`ParseError` at the line where it stopped."""
     reader = _csv.reader(fh, delimiter=file.delimiter)
-    for line_no, row in enumerate(reader, start=1):
-        if file.header and line_no == 1:
-            continue
-        if not row:
-            continue
-        if file.column >= len(row):
-            raise ParseError(line_no, file.delimiter.join(row),
-                             f"no column {file.column}")
-        yield _parse_sample(row[file.column], line_no)
+    try:
+        for line_no, row in enumerate(reader, start=1):
+            if file.header and line_no == 1:
+                continue
+            if not row:
+                continue
+            if file.column >= len(row):
+                raise ParseError(line_no, file.delimiter.join(row),
+                                 f"no column {file.column}")
+            yield _parse_sample(row[file.column], line_no)
+    except _csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc), "malformed CSV") from None
 
 
 def _array(samples) -> np.ndarray:

@@ -13,12 +13,17 @@ its buffers reused in every iteration).
 ``ensemble_values`` is the single ensemble loop. It prepares the series once
 and draws members 0..n-1 in rounds of one per usable CPU: the calling thread
 draws the first member of each round and a pool of threads the rest. It then
-scores the round in member order on the calling thread through
-:func:`irrev.measures.sweep` (one forward histogram per configuration,
-shared by every kind) and drops it before drawing the next round. So memory
-is bounded by the CPU count, not by the ensemble size.
-``significance_test`` and the ``repro-models`` command both run on it and
-both take their band from :func:`percentile_band`.
+scores the round in member order on the calling thread and drops it before
+drawing the next round. So memory is bounded by the CPU count, not by the
+ensemble size.
+
+``significance_tests`` is the single verdict path. It scores the original
+series, then makes one ``ensemble_values`` call that serves all its
+(kind, config) cells, and takes each cell's band from
+:func:`percentile_band`. The originals and every member are scored by one
+helper, one :func:`irrev.measures.sweep` call per configuration, so the
+kinds share each forward histogram. ``significance_test`` is its one-cell
+case, and the ``repro-models`` command makes one call per series.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import numpy as np
 
 from .errors import (DegenerateSeries, DomainError, EmptyInput, InvalidParams,
                      SeriesTooShort, checked_choice, checked_int, checked_series)
-from .measures import _KINDS, _scalar, measure, sweep
+from .measures import _KINDS, _scalar, sweep
+# perfbench hooks irrev.surrogates.measure and significance_test: keep both.
+from .measures import measure  # noqa: F401
 from .ordinal import EmbeddingConfig
 
 _MASK64 = (1 << 64) - 1
@@ -271,9 +278,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _cells(configs, kinds):
+    """``configs`` and ``kinds`` as lists without repeats, in first-seen
+    order; the kinds are checked."""
+    kinds = dict.fromkeys(checked_choice("kind", k, _KINDS) for k in kinds)
+    return list(dict.fromkeys(configs)), list(kinds)
+
+
+def _scored(x, configs, kinds):
+    """``((kind, config), report)`` for every cell of the series ``x``,
+    config-major: one :func:`sweep` call per config, whose forward
+    histogram every kind shares."""
+    for c in configs:
+        reports = sweep(x, [c.m], [c.tau], c.scheme, kinds, c.tie_epsilon)
+        yield from zip(((kind, c) for kind in kinds), reports)
+
+
 def ensemble_values(series, params: IaaftParams, configs, kinds):
-    """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``."""
-    kinds = [checked_choice("kind", k, _KINDS) for k in kinds]  # before any draw
+    """``{(kind, config): [value of member i for i in 0..n_surrogates-1]}``.
+
+    A config or kind given twice is one cell; cells come config-major, in
+    first-seen order.
+    """
+    configs, kinds = _cells(configs, kinds)  # kinds checked before any draw
     prepared = prepare_iaaft(series)
     values = {(kind, c): [] for c in configs for kind in kinds}
     if not values:  # no cell to score
@@ -288,28 +315,40 @@ def ensemble_values(series, params: IaaftParams, configs, kinds):
             members = [draw_iaaft(prepared, params, start)[0]]
             members += [future.result()[0] for future in rest]
             for surrogate in members:
-                for c in configs:
-                    reports = sweep(surrogate, [c.m], [c.tau], c.scheme, kinds,
-                                    c.tie_epsilon)
-                    for kind, rep in zip(kinds, reports):
-                        values[(kind, c)].append(rep.value)
+                for cell, rep in _scored(surrogate, configs, kinds):
+                    values[cell].append(rep.value)
             del rest, members  # drop the round before drawing the next
     return values
+
+
+def significance_tests(series, configs, kinds, params: IaaftParams):
+    """Every (kind, config) cell against one IAAFT surrogate ensemble.
+
+    Returns ``({cell: original report}, {cell: SurrogateVerdict})``, both
+    config-major in first-seen order, a repeated config or kind counting
+    once. The original series is scored first, so a series too short for
+    any config raises before a member is drawn.
+    """
+    configs, kinds = _cells(configs, kinds)
+    x = checked_series(series)
+    reports = dict(_scored(x, configs, kinds))
+    ensemble = ensemble_values(x, params, configs, kinds)
+    verdicts = {}
+    for cell, rep in reports.items():
+        p2_5, p97_5 = percentile_band(ensemble[cell])
+        verdicts[cell] = SurrogateVerdict(
+            original_value=rep.value,
+            surrogate_values=ensemble[cell],
+            p2_5=p2_5,
+            p97_5=p97_5,
+            significant_above=rep.value > p97_5,
+            significant_below=rep.value < p2_5,
+        )
+    return reports, verdicts
 
 
 def significance_test(
     series, config: EmbeddingConfig, kind: str, params: IaaftParams
 ) -> SurrogateVerdict:
     """Compare a measure value against an IAAFT surrogate ensemble."""
-    original = measure(series, config, kind).value
-    surrogate_values = ensemble_values(series, params, [config],
-                                       [kind])[(kind, config)]
-    p2_5, p97_5 = percentile_band(surrogate_values)
-    return SurrogateVerdict(
-        original_value=original,
-        surrogate_values=surrogate_values,
-        p2_5=p2_5,
-        p97_5=p97_5,
-        significant_above=original > p97_5,
-        significant_below=original < p2_5,
-    )
+    return significance_tests(series, [config], [kind], params)[1][(kind, config)]

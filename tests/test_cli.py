@@ -527,6 +527,19 @@ def test_non_utf8_input_is_data_error(capsys, tmp_path, argv, fmt):
     assert sorted(os.listdir(tmp_path)) == ["bad.txt"]
 
 
+def test_oversized_csv_field_is_data_error(capsys, tmp_path):
+    # One field past the csv module's field size limit (131072 characters).
+    path = tmp_path / "wide.csv"
+    path.write_text("1\n2\n" + "9" * 200_000 + "\n4\n")
+    code, stdout, err = run(capsys, "analyze", "--input", str(path), "--m",
+                            "2", "--format", "csv", "--out",
+                            str(tmp_path / "r.json"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("data error: line 3: malformed CSV: ")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["wide.csv"]
+
+
 # Every flag of every command, with a value that changes the outcome of a
 # command line. {out} is a fresh directory per run.
 _SERIES_COMMANDS = {

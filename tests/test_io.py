@@ -94,6 +94,17 @@ class TestReadSeries:
         with pytest.raises(ParseError):
             read_series(SeriesFile(str(path), format="csv", column=3))
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("1\n2\n" + "9" * 200_000 + "\n4\n", 3),
+        ("1,a\n2,b\n3,c\n" + "9" * 200_000, 4)], ids=["middle", "last"])
+    def test_oversized_csv_field_is_parse_error(self, tmp_path, text, line_no):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line_no}: malformed CSV: "
+                           "'field larger than field limit") as info:
+            read_series(SeriesFile(str(path), format="csv"))
+        assert info.value.line_no == line_no
+
 
 class TestWriteSeries:
     def test_single_value_rendering(self, tmp_path):

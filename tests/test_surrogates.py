@@ -1,11 +1,14 @@
 import hashlib
 import os
+from pathlib import Path
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+
+import irrev
 
 from irrev import (
     DegenerateSeries,
@@ -21,6 +24,7 @@ from irrev import (
     percentile_band,
     percentile_nearest_rank,
     significance_test,
+    significance_tests,
 )
 from irrev import surrogates
 from irrev.surrogates import _ranks, ensemble_values, mix_seed
@@ -289,6 +293,34 @@ class TestEnsembleValues:
                 for i in range(params.n_surrogates)
             ]
 
+    X = np.round(np.random.default_rng(36).standard_normal(256), 1)
+    PARAMS = IaaftParams(max_iterations=20, seed=9, n_surrogates=3)
+    CONFIG = EmbeddingConfig(m=3)
+
+    def test_configs_may_be_a_generator(self):
+        # A generator was once used up by the first pass over the configs,
+        # and every cell came back empty.
+        got = ensemble_values(self.X, self.PARAMS,
+                              (EmbeddingConfig(m=m) for m in (3,)), ["TIR"])
+        assert got == ensemble_values(self.X, self.PARAMS, [self.CONFIG],
+                                      ["TIR"])
+        assert len(got[("TIR", self.CONFIG)]) == 3
+
+    @pytest.mark.parametrize("configs, kinds", [
+        ([CONFIG, CONFIG], ["TIR"]),
+        ([CONFIG], ["TIR", "TIR"]),
+        ([CONFIG, EmbeddingConfig(m=3, tau=1)], ("TIR", "TIR", "TIR"))])
+    def test_a_repeated_cell_counts_once(self, configs, kinds):
+        assert ensemble_values(self.X, self.PARAMS, configs, kinds) == \
+            ensemble_values(self.X, self.PARAMS, [self.CONFIG], ["TIR"])
+
+    def test_cells_come_config_major_in_first_seen_order(self):
+        a, b = EmbeddingConfig(m=4), self.CONFIG
+        values = ensemble_values(self.X, self.PARAMS, [a, b, a],
+                                 ["AIR", "TIR", "AIR"])
+        assert list(values) == [("AIR", a), ("TIR", a), ("AIR", b),
+                                ("TIR", b)]
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, None])
     def test_rounds_of_any_width_match_members(self, cpus, monkeypatch):
         # 4 members in rounds of 3 leave an uneven last round; None removes
@@ -371,6 +403,78 @@ class TestEnsembleChecksBeforeDrawing:
     def test_series_checked_without_a_cell(self):
         with pytest.raises(NonFiniteSample):
             ensemble_values([*self.X[:10], np.nan], self.PARAMS, [], ["TIR"])
+
+    def test_too_short_for_the_largest_config(self):
+        # 64 samples hold no window of m=7 at tau=11.
+        configs = [EmbeddingConfig(m=3), EmbeddingConfig(m=7, tau=11)]
+        with pytest.raises(SeriesTooShort,
+                           match="^sweep cell kind=TIR m=7 tau=11: "):
+            significance_tests(self.X, configs, ["TIR", "AIR"], self.PARAMS)
+        with pytest.raises(SeriesTooShort):
+            significance_test(self.X, configs[1], "AIR", self.PARAMS)
+
+    def test_unknown_kind_in_significance_tests(self):
+        with pytest.raises(InvalidParams, match="^kind must be one of"):
+            significance_tests(self.X, [EmbeddingConfig(m=3)], ["TIR", "XIR"],
+                               self.PARAMS)
+
+
+class TestSignificanceTests:
+    # Rounded Gaussian data: ties, so both schemes and tied TIR matter.
+    X = np.round(np.random.default_rng(41).standard_normal(512), 1)
+    PARAMS = IaaftParams(max_iterations=30, seed=11, n_surrogates=5)
+    CONFIGS = [EmbeddingConfig(m=m, tau=tau, scheme=scheme)
+               for scheme in ("equal-value", "original")
+               for m, tau in ((3, 1), (4, 2))]
+    KINDS = ("TIR", "AIR")
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return significance_tests(self.X, self.CONFIGS, self.KINDS,
+                                  self.PARAMS)
+
+    def test_every_cell_is_its_own_significance_test(self, grid):
+        reports, verdicts = grid
+        cells = [(kind, c) for c in self.CONFIGS for kind in self.KINDS]
+        assert list(reports) == list(verdicts) == cells
+        for kind, config in cells:
+            alone = significance_test(self.X, config, kind, self.PARAMS)
+            assert verdicts[(kind, config)] == alone
+            assert len(alone.surrogate_values) == self.PARAMS.n_surrogates
+
+    def test_reports_are_the_measures_of_the_series(self, grid):
+        reports, verdicts = grid
+        for (kind, config), rep in reports.items():
+            want = measure(self.X, config, kind)
+            assert (rep.kind, rep.config, rep.value) == (kind, config,
+                                                         want.value)
+            assert rep.value == verdicts[(kind, config)].original_value
+
+    def test_band_and_flags_follow_the_values(self, grid):
+        for v in grid[1].values():
+            assert (v.p2_5, v.p97_5) == percentile_band(v.surrogate_values)
+            assert v.significant_above == (v.original_value > v.p97_5)
+            assert v.significant_below == (v.original_value < v.p2_5)
+
+    def test_a_repeated_cell_counts_once(self, grid):
+        config = self.CONFIGS[1]
+        reports, verdicts = significance_tests(
+            self.X, (c for c in [config, config]), ["AIR", "AIR"],
+            self.PARAMS)
+        assert list(reports) == list(verdicts) == [("AIR", config)]
+        assert verdicts[("AIR", config)] == grid[1][("AIR", config)]
+
+
+def test_one_verdict_path():
+    """Only surrogates.py takes a band or runs an ensemble: every other
+    module goes through significance_tests."""
+    sources = sorted(Path(irrev.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        if path.name != "surrogates.py":
+            text = path.read_text(encoding="utf-8")
+            assert "percentile_band(" not in text, path.name
+            assert "ensemble_values(" not in text, path.name
 
 
 class TestSignificance:
