@@ -7,6 +7,13 @@ Report documents embed provenance (input, config, seed, tool version) so
 every published number can be regenerated. Series files are read into
 float64 arrays, a plain file a block of text at a time.
 
+Reading parses each distinct text once where texts repeat: the lines of a
+quantised series file and the numbers of a report document go through a
+memo of ``float``, and report pattern strings of ``m <= 9`` one-digit
+labels are decoded from their bytes. The writer renders such pattern
+strings from one byte matrix. Values, bytes and errors are those of the
+plain per-text parse.
+
 Report documents are written in schema "2", where each report's ``pairs``
 is an object of five lists of one length (``counterpart``,
 ``p_counterpart``, ``p_forward``, ``pattern``, ``ys``). Schema "1", with
@@ -136,6 +143,20 @@ def _array(samples) -> np.ndarray:
 # as strings, take four to five times its size.
 _BLOCK_CHARS = 1 << 18
 
+# The bulk reader parses each distinct line once when at most
+# _MEMO_DISTINCT of the first _MEMO_HEAD lines of the file differ, as on
+# quantised data; on distinct samples the memo's lookups would cost more
+# than they save.
+_MEMO_HEAD, _MEMO_DISTINCT = 1024, 512
+
+
+class _FloatMemo(dict):
+    """``float`` of each text, parsed the first time the text is looked up."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
 
 def _bulk_samples(fh) -> np.ndarray | None:
     """One finite float per line of the text file ``fh``, as a float64
@@ -143,25 +164,41 @@ def _bulk_samples(fh) -> np.ndarray | None:
     ``UnicodeDecodeError`` is a ``ValueError``; the line scan raises it).
 
     The text is read in blocks of :data:`_BLOCK_CHARS` characters. The
-    lines a block completes are parsed into one array, and the text after
-    its last newline is carried into the next block.
+    lines a block completes are parsed into one array; the pieces of the
+    unfinished line after its last newline are kept and joined once, in
+    the block that ends that line. The lines are parsed by ``float``, or,
+    if the first lines repeat (see :data:`_MEMO_HEAD`), through a
+    :class:`_FloatMemo` that parses each distinct text once. Either way a
+    line gives the float ``float`` gives it.
     """
-    blocks, rest = [], ""
+    blocks, rest, parse = [], [], None
     try:
         while text := fh.read(_BLOCK_CHARS):
-            lines = (rest + text).split("\n")
-            rest = lines.pop()
-            blocks.append(_parsed(lines))
-        if rest:  # the last line has no final newline
-            blocks.append(_parsed([rest]))
+            rest.append(text)
+            if "\n" not in text:
+                continue
+            lines = "".join(rest).split("\n")
+            rest = [lines.pop()]
+            if parse is None:
+                parse = _parser(lines[:_MEMO_HEAD])
+            blocks.append(_parsed(lines, parse))
+        if last := "".join(rest):  # the last line has no final newline
+            blocks.append(_parsed([last], parse or float))
         return checked_series(np.concatenate(blocks) if blocks else np.empty(0))
     except (ValueError, NonFiniteSample):
         return None
 
 
-def _parsed(lines: list[str]) -> np.ndarray:
-    """``float`` of each line, as a float64 array: ValueError if one is not."""
-    return np.fromiter(map(float, lines), np.float64, len(lines))
+def _parser(head: list[str]):
+    """``float``, or a memo's lookup if the lines ``head`` repeat enough."""
+    if len(set(head)) <= _MEMO_DISTINCT:
+        return _FloatMemo().__getitem__
+    return float
+
+
+def _parsed(lines: list[str], parse) -> np.ndarray:
+    """``parse`` of each line, as a float64 array: ValueError if one fails."""
+    return np.fromiter(map(parse, lines), np.float64, len(lines))
 
 
 def file_sha256(path: str) -> str:
@@ -189,18 +226,31 @@ def _durable_write(path: str, chunks) -> None:
     """Replace ``path`` atomically by the text pieces of the iterable
     ``chunks``: write them to a sibling temp file, sync it, rename it over.
     If anything fails, the making of a piece included, the temp file is
-    removed and the target is left as it was."""
+    removed and the target is left as it was. An ``OSError`` about a file
+    names ``path``, never the temp file."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise _about(exc, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _about(exc, path) from None
         raise
+
+
+def _about(exc: OSError, path: str) -> OSError:
+    """``exc`` naming ``path`` as its file, if it named a file at all."""
+    if exc.filename is None:
+        return exc
+    return type(exc)(exc.errno, exc.strerror, path)
 
 
 # -- JSON document codec -------------------------------------------------------
@@ -239,11 +289,16 @@ def _parse_codes(texts: list, m: int) -> np.ndarray | None:
     """Codes of pattern strings of ``m`` integer labels in ``1..m``, all
     parsed in one step; None if any text is not such a string.
 
-    numpy parses each label as ``int`` does, except that a label beyond
-    int64, which is out of range anyway, fails to parse.
+    For ``m <= 9`` the canonical texts (single-digit labels joined by
+    commas) are decoded from their bytes. Any other texts, and every text
+    for ``m >= 10``, are parsed by numpy, which reads each label as ``int``
+    does, except that a label beyond int64, which is out of range anyway,
+    fails to parse.
     """
     if not texts:
         return np.empty(0, dtype=np.int64)
+    if m <= 9 and (codes := _decoded_codes(texts, m)) is not None:
+        return codes
     try:  # TypeError: a text is not a string
         if list(map(str.count, texts, repeat(","))).count(m - 1) != len(texts):
             return None
@@ -253,6 +308,27 @@ def _parse_codes(texts: list, m: int) -> np.ndarray | None:
     if labels.min() < 1 or labels.max() > m:
         return None
     return labels.reshape(-1, m) @ _code_weights(m)
+
+
+def _decoded_codes(texts: list, m: int) -> np.ndarray | None:
+    """Codes of texts that each read ``d,d,...,d``: ``m`` ASCII digits in
+    ``1..m`` joined by commas; None if any text is not one (it may still
+    be a pattern string that ``int`` reads, such as ``" 1,2,3"``)."""
+    width = 2 * m - 1
+    try:  # TypeError: a text is not a string
+        if set(map(len, texts)) != {width}:
+            return None
+        joined = "".join(texts)
+    except TypeError:
+        return None
+    if not joined.isascii():
+        return None
+    chars = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, width)
+    digits = chars[:, ::2] - np.uint8(ord("0"))
+    if ((chars[:, 1::2] != ord(",")).any()
+            or (digits < 1).any() or (digits > m).any()):
+        return None
+    return digits @ _code_weights(m)
 
 
 # ``json.dumps(..., sort_keys=True, indent=2)`` of a document, streamed in
@@ -295,6 +371,26 @@ def _memoised(memo: dict, keys: np.ndarray, render) -> list[str]:
     return texts[index].tolist()
 
 
+def _pattern_texts(codes: np.ndarray, m: int) -> list[str]:
+    """The JSON string of each code's pattern: its labels joined by commas,
+    in quotes. For ``m <= 9`` every label is one digit, and the texts are
+    one matrix of quote, digit and comma bytes, decoded once."""
+    if m > 9:
+        return _formatted_pattern_texts(codes, m)
+    chars = np.full((len(codes), 2 * m + 2), ord(","), dtype=np.uint8)
+    chars[:, 0] = chars[:, -2] = ord('"')
+    chars[:, -1] = ord("\n")
+    chars[:, 1:-2:2] = _code_digits(codes, m) + ord("0")
+    return chars.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _formatted_pattern_texts(codes: np.ndarray, m: int) -> list[str]:
+    """:func:`_pattern_texts` through one ``%`` format operation."""
+    lines = '"' + ",".join(["%d"] * m) + '"\n'
+    digits = tuple(_code_digits(codes, m).ravel().tolist())
+    return (lines * len(codes) % digits).split("\n")[:-1]
+
+
 class _PairTexts:
     """The ``pairs`` object of a :class:`PairTable` as ``json.dumps`` writes it.
 
@@ -308,14 +404,9 @@ class _PairTexts:
         self._codes, self._numbers = {}, {}
 
     def _codes_text(self, m: int, codes: np.ndarray) -> list[str]:
-        lines = ('"' + ",".join(["%d"] * m) + '"\n')
-
-        def render(fresh):  # one format operation, split into lines
-            digits = tuple(_code_digits(fresh, m).ravel().tolist())
-            return (lines * len(fresh) % digits).split("\n")[:-1]
-
         return _memoised(self._codes.setdefault(
-            m, {_SAME_BIN_CODE: _SAME_BIN_TEXT}), codes, render)
+            m, {_SAME_BIN_CODE: _SAME_BIN_TEXT}), codes,
+            lambda fresh: _pattern_texts(fresh, m))
 
     def _numbers_text(self, column: np.ndarray) -> list[str]:
         return _memoised(self._numbers, column.view(np.int64), lambda fresh: map(
@@ -407,11 +498,13 @@ def read_report(path: str) -> ReportDocument:
     does text that is not JSON (or not UTF-8, or nested too deeply) or a
     missing or odd field. Reports are otherwise trusted input: neither the
     realisability of a pattern nor the numbers are re-checked. Each table
-    decodes its own codes when its pairs are first read.
+    decodes its own codes when its pairs are first read. Each distinct
+    number text is parsed once, by a memo of ``float`` shared by the whole
+    document.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _document(json.load(fh))
+            return _document(json.load(fh, parse_float=_FloatMemo().__getitem__))
         except (KeyError, TypeError, AttributeError, json.JSONDecodeError,
                 UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParams(f"{path} is not a report document: {exc!r}") from exc

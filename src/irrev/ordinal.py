@@ -236,8 +236,13 @@ def _code_weights(m: int) -> np.ndarray:
 
 
 def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
-    """Label matrix of the codes, one row per code."""
-    return codes[:, None] // _code_weights(m) % (m + 1)
+    """Label matrix of the codes, one row per code: ``m`` divisions by
+    ``m + 1`` from the last label back, since ``c // a // b == c // (a*b)``."""
+    digits = np.empty((len(codes), m), dtype=np.int64)
+    rest = codes
+    for k in range(m - 1, -1, -1):
+        rest, digits[:, k] = np.divmod(rest, m + 1)
+    return digits
 
 
 def _pattern_code(labels: tuple[int, ...], m: int, name) -> int:

@@ -527,6 +527,23 @@ def test_non_utf8_input_is_data_error(capsys, tmp_path, argv, fmt):
     assert sorted(os.listdir(tmp_path)) == ["bad.txt"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{input}", "--m", "2", "--out", "{target}"],
+    ["sweep", "--input", "{input}", "--m", "2", "--out", "{target}"],
+    ["generate", "logistic", "--n", "50", "--out", "{target}"],
+])
+def test_unwritable_out_names_the_target(capsys, increasing_file, tmp_path,
+                                         argv):
+    target = os.path.join(str(tmp_path), "missing", "out.file")
+    argv = [a.format(input=increasing_file, target=target) for a in argv]
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"io error: [Errno 2] No such file or directory: {target!r}\n"
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_oversized_csv_field_is_data_error(capsys, tmp_path):
     # One field past the csv module's field size limit (131072 characters).
     path = tmp_path / "wide.csv"

@@ -174,6 +174,19 @@ class TestWriteSeries:
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
+    def test_failed_replace_names_the_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+
+        def failing_replace(src, dst):
+            raise PermissionError(13, "Permission denied", src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(PermissionError) as info:
+            write_series([1.0, 2.0], str(path))
+        assert (info.value.filename, info.value.filename2) == (str(path), None)
+        assert ".tmp" not in str(info.value)
+        assert os.listdir(tmp_path) == []
+
 def _special_reports():
     """A computed tied report with SAME_BIN pairs, and a hand-built one
     whose pairs hold NaN, +-inf, -0.0, ints, a bool and numpy floats beside
@@ -1050,3 +1063,168 @@ class TestWriteReportMatchesJsonDumps:
                         [tied, hand, dataclasses.replace(hand, pairs=[])]):
             self._check(tmp_path, ReportDocument(
                 provenance=provenance, reports=reports, verdicts=[verdict]))
+
+
+def _lines(values) -> bytes:
+    return "".join(f"{v}\n" for v in values).encode()
+
+
+_REPEATED = ["0.5", "-1.25", "3", "0.1"] * 600               # 4 distinct texts
+_DISTINCT = [repr(v) for v in np.random.default_rng(6).standard_normal(1500)]
+
+
+class TestRepeatedTextsParsedOnce:
+    """The bulk reader may parse each distinct line once; the samples and
+    errors stay those of the line reader."""
+
+    @pytest.mark.parametrize("head, distinct", [
+        (["1"] * 1024, 1), ([str(i % 512) for i in range(1024)], 512),
+        ([str(i) for i in range(100)], 100)])
+    def test_repeated_head_chooses_the_memo(self, head, distinct):
+        assert len(set(head)) == distinct
+        parse = irrev_io._parser(head)
+        assert parse is not float and parse("0.5") == 0.5
+
+    def test_distinct_head_keeps_float(self):
+        assert irrev_io._parser([str(i) for i in range(513)]) is float
+        assert irrev_io._parser(_DISTINCT[:1024]) is float
+
+    def test_memo_parses_each_text_once(self):
+        memo = irrev_io._FloatMemo()
+        assert [memo[t] for t in ["1.5", "2", "1.5", "1.5"]] == [1.5, 2.0, 1.5, 1.5]
+        assert memo == {"1.5": 1.5, "2": 2.0}
+        with pytest.raises(ValueError):
+            memo["x"]
+
+    @pytest.mark.parametrize("values", [
+        _REPEATED + _DISTINCT,            # repeats early, distinct later
+        _DISTINCT + _REPEATED,            # distinct early, repeats later
+        ["0.0", "-0.0", "0", "-0"] * 400,
+        ["0.1", "0.10000000000000001", "1e-1", " 0.1 ", "0.1\r"] * 300,
+    ], ids=["repeat-then-distinct", "distinct-then-repeat", "signed-zeros",
+            "one-value-spelled-four-ways"])
+    @pytest.mark.parametrize("block", [7, 1 << 18])
+    def test_same_bits_as_line_reader(self, tmp_path, monkeypatch, values,
+                                      block):
+        monkeypatch.setattr(irrev_io, "_BLOCK_CHARS", block)
+        path = tmp_path / "s.txt"
+        path.write_bytes(_lines(values))
+        _same_as_line_reader(path)
+
+    @pytest.mark.parametrize("bad", ["x", "nan", "", "1e999", "-inf", "1 2",
+                                     "−0.5"])
+    @pytest.mark.parametrize("at", [5, 2000])
+    def test_bad_line_after_repeated_head_same_as_line_reader(
+            self, tmp_path, bad, at):
+        values = list(_REPEATED)
+        values.insert(at, bad)
+        path = tmp_path / "s.txt"
+        path.write_bytes(_lines(values))
+        _same_as_line_reader(path)
+
+    def test_tied_read_keeps_only_the_array(self, tmp_path):
+        # The twin of the distinct-sample memory test, on data whose lines
+        # take the memo: nothing of it may outlive the read.
+        n = 250_000
+        path = tmp_path / "tied.txt"
+        write_series(np.round(np.random.default_rng(5).standard_normal(n), 1),
+                     str(path))
+        size = path.stat().st_size
+        assert irrev_io._parser(path.read_text().split("\n")[:1024]) is not float
+        tracemalloc.start()
+        try:
+            x = read_series(SeriesFile(str(path)))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(x) == n
+        assert kept <= 8 * n + 1024
+        assert peak < 1.5 * size
+
+
+class TestLongLines:
+    @pytest.mark.parametrize("tail", [b"\n2\n", b"", b"\nx\n"])
+    def test_line_of_many_blocks_same_as_line_reader(self, tmp_path,
+                                                     monkeypatch, tail):
+        monkeypatch.setattr(irrev_io, "_BLOCK_CHARS", 64)
+        path = tmp_path / "long.txt"
+        path.write_bytes(b"1\n0." + b"3" * 400_000 + tail)
+        _same_as_line_reader(path)
+
+
+def _all_codes(m: int) -> np.ndarray:
+    labels = np.stack(np.meshgrid(*[np.arange(1, m + 1)] * m, indexing="ij"),
+                      axis=-1).reshape(-1, m)
+    return labels @ irrev_io._code_weights(m)
+
+
+class TestPatternTexts:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_bytes_equal_format_for_every_code(self, m):
+        codes = _all_codes(m)
+        assert len(codes) == m ** m
+        assert (irrev_io._pattern_texts(codes, m)
+                == irrev_io._formatted_pattern_texts(codes, m))
+
+    @pytest.mark.parametrize("m", range(7, 10))
+    def test_bytes_equal_format_on_a_sample(self, m):
+        labels = np.random.default_rng(m).integers(1, m + 1, size=(5000, m))
+        codes = labels @ irrev_io._code_weights(m)
+        texts = irrev_io._pattern_texts(codes, m)
+        assert texts == irrev_io._formatted_pattern_texts(codes, m)
+        assert texts[0] == json.dumps(",".join(map(str, labels[0])))
+
+    @pytest.mark.parametrize("m", [2, 10, 15])
+    def test_no_codes(self, m):
+        assert irrev_io._pattern_texts(np.empty(0, np.int64), m) == []
+
+
+class TestDecodedCodes:
+    @pytest.mark.parametrize("m, text", [
+        (3, "1,2,٣"), (4, "١,2,3,٤"),  # int reads Arabic-Indic digits
+        (3, " 1,2,3"), (3, "01,2,3"),  # longer texts that int reads
+        (10, "1,2,3,4,5,6,7,8,9,10"), (10, "10," * 9 + "1"),
+    ])
+    def test_other_spellings_fall_through_and_parse(self, m, text):
+        assert irrev_io._decoded_codes([text], m) is None
+        assert irrev_io._parse_codes([text], m).tolist() == [
+            reference_pattern_code(text, m)]
+
+    @pytest.mark.parametrize("m, texts", [
+        (3, ["1,2,+"]), (3, ["1;2;3"]), (3, ["0,1,2"]), (3, ["1,2,4"]),
+        (3, ["1,2", "3,1,2,3"]), (3, ["1,2,3", 123]), (3, ["1,2,3", None]),
+        # Joined, these read as canonical rows; each text must have the width.
+        (2, ["1", ",21,2"]), (3, ["1,2,31", ",2,3"]),
+        (2, ["1,2", [1, 2, 3]]), (10, ["1,2,3,4,5,6,7,8,9,11"]),
+    ])
+    def test_non_patterns_are_rejected(self, m, texts):
+        if m <= 9:
+            assert irrev_io._decoded_codes(texts, m) is None
+        assert irrev_io._parse_codes(texts, m) is None
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_canonical_texts_decode_to_their_codes(self, m):
+        codes = np.random.default_rng(m).integers(
+            1, m + 1, size=(300, m)) @ irrev_io._code_weights(m)
+        texts = [json.loads(t) for t in irrev_io._pattern_texts(codes, m)]
+        decoded = irrev_io._decoded_codes(texts, m)
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == codes.tolist() == [
+            reference_pattern_code(t, m) for t in texts]
+
+
+def test_read_report_keeps_signed_zeros_apart(tmp_path):
+    x = np.round(np.random.default_rng(7).standard_normal(400), 0)
+    doc = ReportDocument(provenance={}, reports=[
+        measure(x, EmbeddingConfig(m=3), "TIR")])
+    d = json.loads(reference_report_text(doc))
+    pairs = d["reports"][0]["pairs"]
+    n = len(pairs["ys"])
+    pairs["ys"] = [(0.0, -0.0)[i % 2] for i in range(n)]
+    pairs["p_forward"][:2] = [-0.0, 0.0]
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(d))
+    table = read_report(str(path)).reports[0].pairs
+    assert np.signbit(table.ys).tolist() == [i % 2 == 1 for i in range(n)]
+    assert np.signbit(table.p_forward[:2]).tolist() == [True, False]
+    assert (table.ys == 0).all()
