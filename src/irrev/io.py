@@ -7,12 +7,12 @@ Report documents embed provenance (input, config, seed, tool version) so
 every published number can be regenerated. Series files are read into
 float64 arrays, a plain file a block of text at a time.
 
-Reading parses each distinct text once where texts repeat: the lines of a
-quantised series file and the numbers of a report document go through a
-memo of ``float``, and report pattern strings of ``m <= 9`` one-digit
-labels are decoded from their bytes. The writer renders such pattern
-strings from one byte matrix. Values, bytes and errors are those of the
-plain per-text parse.
+The lines of a quantised series file and the numbers of a report
+document go through a memo of ``float``. Each pair list of a report is
+converted from or to its column on its own: the pattern strings of a
+report are parsed in one step, those of ``m <= 9`` one-digit labels
+decoded from their bytes, and the writer renders them from one byte
+matrix. Values, bytes and errors are those of the plain per-text parse.
 
 Report documents are written in schema "2", where each report's ``pairs``
 is an object of five lists of one length (``counterpart``,
@@ -22,8 +22,7 @@ five lists, and from there both versions share one reader.
 
 Every file is written to a sibling temp file, synced and renamed over the
 target. A report document is streamed list by list, so a write holds about
-one pair list's text and the memos of its label and number texts, never
-the whole document.
+one pair list's text, never the whole document.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ import os
 import uuid
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import chain, filterfalse, repeat
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -115,20 +114,20 @@ def read_series(file: SeriesFile) -> np.ndarray:
 
 
 def _csv_samples(fh, file: SeriesFile):
-    """The samples of column ``file.column`` of a CSV file, row by row. A
-    row the csv module refuses (a field past its size limit) is a
+    """The samples of column ``file.column`` of a CSV file, row by row,
+    after the header row if ``file.header``. An error names the line where
+    its row ends, which a quoted field may have carried past its first
+    line; a row the csv module refuses (a field past its size limit) is a
     :class:`ParseError` at the line where it stopped."""
     reader = _csv.reader(fh, delimiter=file.delimiter)
     try:
-        for line_no, row in enumerate(reader, start=1):
-            if file.header and line_no == 1:
-                continue
+        for row in islice(reader, int(file.header), None):
             if not row:
                 continue
             if file.column >= len(row):
-                raise ParseError(line_no, file.delimiter.join(row),
+                raise ParseError(reader.line_num, file.delimiter.join(row),
                                  f"no column {file.column}")
-            yield _parse_sample(row[file.column], line_no)
+            yield _parse_sample(row[file.column], reader.line_num)
     except _csv.Error as exc:
         raise ParseError(reader.line_num, str(exc), "malformed CSV") from None
 
@@ -360,17 +359,6 @@ def _float_text(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _memoised(memo: dict, keys: np.ndarray, render) -> list[str]:
-    """The text of each int64 key; ``render`` makes the texts of the
-    distinct keys not yet in ``memo``, all in one call."""
-    distinct, index = np.unique(keys, return_inverse=True)
-    distinct = distinct.tolist()
-    fresh = [key for key in distinct if key not in memo]
-    memo.update(zip(fresh, render(np.array(fresh, dtype=np.int64))))
-    texts = np.array(list(map(memo.__getitem__, distinct)), dtype=object)
-    return texts[index].tolist()
-
-
 def _pattern_texts(codes: np.ndarray, m: int) -> list[str]:
     """The JSON string of each code's pattern: its labels joined by commas,
     in quotes. For ``m <= 9`` every label is one digit, and the texts are
@@ -391,43 +379,41 @@ def _formatted_pattern_texts(codes: np.ndarray, m: int) -> list[str]:
     return (lines * len(codes) % digits).split("\n")[:-1]
 
 
-class _PairTexts:
-    """The ``pairs`` object of a :class:`PairTable` as ``json.dumps`` writes it.
-
-    Each list is rendered from the table's columns: the label text of each
-    distinct code once per document and ``m``, and the text of each
-    distinct float once per document, keyed by its bits (so ``0.0`` and
-    ``-0.0`` keep their own texts).
-    """
-
-    def __init__(self):
-        self._codes, self._numbers = {}, {}
-
-    def _codes_text(self, m: int, codes: np.ndarray) -> list[str]:
-        return _memoised(self._codes.setdefault(
-            m, {_SAME_BIN_CODE: _SAME_BIN_TEXT}), codes,
-            lambda fresh: _pattern_texts(fresh, m))
-
-    def _numbers_text(self, column: np.ndarray) -> list[str]:
-        return _memoised(self._numbers, column.view(np.int64), lambda fresh: map(
-            _float_text, fresh.view(np.float64).tolist()))
-
-    def chunks(self, pairs: PairTable, indent: str):
-        """The text of ``pairs`` at ``indent``, one list at a time: each
-        list is rendered only once the one before it has been taken."""
-        inner = indent + "  "
-        lists = (lambda: self._codes_text(pairs.m, pairs.counterpart_codes),
-                 lambda: self._numbers_text(pairs.p_counterpart),
-                 lambda: self._numbers_text(pairs.p_forward),
-                 lambda: self._codes_text(pairs.m, pairs.codes),
-                 lambda: self._numbers_text(pairs.ys))
-        for opening, key, items in zip(chain(["{\n"], repeat(",\n")),
-                                       _PAIR_KEYS, lists):
-            yield f'{opening}{inner}"{key}": {_json_list(items(), inner)}'
-        yield "\n" + indent + "}"
+def _code_texts(codes: np.ndarray, m: int) -> list[str]:
+    """The JSON text of each code of a pattern column: its pattern string,
+    or :data:`_SAME_BIN_TEXT` at :data:`_SAME_BIN_CODE`."""
+    paired = codes != _SAME_BIN_CODE
+    if paired.all():
+        return _pattern_texts(codes, m)
+    texts = np.full(len(codes), _SAME_BIN_TEXT, dtype=object)
+    texts[paired] = _pattern_texts(codes[paired], m)
+    return texts.tolist()
 
 
-def _report_chunks(report: IrreversibilityReport, texts: _PairTexts):
+def _number_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each float of ``column``, rendered once per distinct
+    bit pattern of the column (so ``0.0`` and ``-0.0`` keep their own texts)."""
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = list(map(_float_text, distinct.view(np.float64).tolist()))
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _pairs_chunks(pairs: PairTable, indent: str):
+    """The ``pairs`` object of a :class:`PairTable` as ``json.dumps`` writes
+    it at ``indent``, one list at a time: each list is rendered from its
+    column only once the one before it has been taken."""
+    inner = indent + "  "
+    columns = (pairs.counterpart_codes, pairs.p_counterpart, pairs.p_forward,
+               pairs.codes, pairs.ys)
+    for opening, key, column in zip(chain(["{\n"], repeat(",\n")),
+                                    _PAIR_KEYS, columns):
+        items = (_code_texts(column, pairs.m) if column.dtype == np.int64
+                 else _number_texts(column))
+        yield f'{opening}{inner}"{key}": {_json_list(items, inner)}'
+    yield "\n" + indent + "}"
+
+
+def _report_chunks(report: IrreversibilityReport):
     envelope = json.dumps({
         "kind": report.kind,
         "config": asdict(report.config),
@@ -439,13 +425,12 @@ def _report_chunks(report: IrreversibilityReport, texts: _PairTexts):
     }, sort_keys=True, indent=2).replace("\n", "\n    ")
     head, tail = _split_at(envelope, _REPORT_KEY_INDENT, "pairs", "{}")
     yield head
-    yield from texts.chunks(report.pairs, _REPORT_KEY_INDENT)
+    yield from _pairs_chunks(report.pairs, _REPORT_KEY_INDENT)
     yield tail
 
 
 def _document_chunks(doc: ReportDocument):
     """The text of ``doc`` in pieces, each report's pair lists one by one."""
-    texts = _PairTexts()
     head, tail = _split_at(json.dumps({
         "schema_version": doc.schema_version,
         "provenance": doc.provenance,
@@ -457,7 +442,7 @@ def _document_chunks(doc: ReportDocument):
         for opening, report in zip(chain(["[\n    "], repeat(",\n    ")),
                                    doc.reports):
             yield opening
-            yield from _report_chunks(report, texts)
+            yield from _report_chunks(report)
         yield "\n  ]"
     else:
         yield "[]"
@@ -474,8 +459,8 @@ def write_report(doc: ReportDocument, path: str) -> None:
     ``ys``. The bytes are those of ``json.dumps(..., sort_keys=True,
     indent=2)`` plus a newline. Only the envelope goes through ``json``;
     the lists are rendered straight from the columns of each report's
-    :class:`PairTable`. The document is written list by list, so a write
-    holds about one pair list's text and the memos, not the document.
+    :class:`PairTable`, one list at a time, so a write holds about one
+    pair list's text, not the document.
     """
     if doc.schema_version != SCHEMA_VERSION:
         raise InvalidParams(f"only schema_version {SCHEMA_VERSION!r} is "
@@ -490,8 +475,8 @@ def read_report(path: str) -> ReportDocument:
     :class:`InvalidParams`. A "1" report's pair objects are first turned
     into the five lists of a "2" report, which must have one length, else
     :class:`InvalidParams`. Reports are read one at a time, each parsing
-    in one step the pattern strings no earlier report of its ``m`` held.
-    Each must hold ``m`` integer labels in ``1..m``, else the first bad
+    all its pattern strings but ``SAME_BIN`` in one step. Each must hold
+    ``m`` integer labels in ``1..m``, else the first bad
     string in document order raises :class:`InvalidPattern`; so does
     ``SAME_BIN`` as a pattern. A pair value or a report or verdict field of
     the wrong type raises :class:`InvalidParams`, and so, naming ``path``,
@@ -511,36 +496,20 @@ def read_report(path: str) -> ReportDocument:
 
 
 def _document(d: dict) -> ReportDocument:
-    """The document of the decoded JSON ``d``: see :func:`read_report`.
-    Each ``m`` keeps a ``{pattern string: code}`` memo. The first bad string
-    of a report is that of the document, as every earlier report parsed."""
+    """The document of the decoded JSON ``d``: see :func:`read_report`."""
     version = checked_choice("schema_version", d["schema_version"], _READABLE_VERSIONS)
-    memos, reports = {}, []
+    reports = []
     for r in d["reports"]:
         config = EmbeddingConfig(**r["config"])
         lists = _pair_lists(r["pairs"], version)
-        codes = memos.setdefault(config.m, {SAME_BIN: _SAME_BIN_CODE})
-        try:  # in document order, so the memo's lookups stay in order too
-            fresh = list(dict.fromkeys(filterfalse(codes.__contains__, chain(
-                lists["counterpart"], lists["pattern"]))))
-            parsed = _parse_codes(fresh, config.m)
-        except TypeError:  # an unhashable pattern
-            parsed = None
-        if parsed is None:
-            for text in _texts_in_order(lists, version):
-                if text != SAME_BIN and _parse_codes([text], config.m) is None:
-                    raise InvalidPattern(f"pattern {text!r} does not have "
-                                         f"{config.m} labels in 1..{config.m}")
-        codes.update(zip(fresh, parsed.tolist()))
+        codes = _report_codes(lists, version, config.m)
+        n = len(lists["counterpart"])
         reports.append(IrreversibilityReport(
             kind=r["kind"],
             config=config,
             value=r["value"],
-            pairs=PairTable(
-                config.m, config.scheme,
-                list(map(codes.__getitem__, lists["pattern"])),
-                list(map(codes.__getitem__, lists["counterpart"])),
-                lists["p_forward"], lists["p_counterpart"], lists["ys"]),
+            pairs=PairTable(config.m, config.scheme, codes[n:], codes[:n],
+                            lists["p_forward"], lists["p_counterpart"], lists["ys"]),
             n_observed_patterns=r["n_observed_patterns"],
             n_forbidden_counterparts=r["n_forbidden_counterparts"],
             n_windows=r["n_windows"],
@@ -551,6 +520,24 @@ def _document(d: dict) -> ReportDocument:
         verdicts=[SurrogateVerdict(**v) for v in d["verdicts"]],
         schema_version=version,
     )
+
+
+def _report_codes(lists: dict, version: str, m: int) -> np.ndarray:
+    """The codes of a report's counterparts and then of its patterns, as one
+    int64 array: :data:`_SAME_BIN_CODE` at each ``SAME_BIN`` text, and the
+    other texts parsed in one :func:`_parse_codes` call. If that fails, the
+    first bad text in document order raises :class:`InvalidPattern`."""
+    texts = [*lists["counterpart"], *lists["pattern"]]
+    paired = list(map(ne, texts, repeat(SAME_BIN)))
+    parsed = _parse_codes(list(compress(texts, paired)), m)
+    if parsed is None:
+        for text in _texts_in_order(lists, version):
+            if text != SAME_BIN and _parse_codes([text], m) is None:
+                raise InvalidPattern(f"pattern {text!r} does not have "
+                                     f"{m} labels in 1..{m}")
+    codes = np.full(len(texts), _SAME_BIN_CODE, dtype=np.int64)
+    codes[np.array(paired, dtype=bool)] = parsed
+    return codes
 
 
 def write_sweep_csv(reports, path: str) -> None:

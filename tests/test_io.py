@@ -94,6 +94,24 @@ class TestReadSeries:
         with pytest.raises(ParseError):
             read_series(SeriesFile(str(path), format="csv", column=3))
 
+    @pytest.mark.parametrize("text, column, header, error", [
+        ('1\n"2\n"\nbad\n', 0, False, "line 4: cannot parse sample: 'bad'"),
+        ('1,5\n"2\n",6\n3\n', 1, False, "line 4: no column 1: '3'"),
+        ('"t\n",rr\n0,800\n1,x\n', 1, True, "line 4: cannot parse sample: 'x'"),
+        ("1\nbad\n", 0, False, "line 2: cannot parse sample: 'bad'"),
+        ("1,5\n\n2\n", 1, False, "line 3: no column 1: '2'")],
+        ids=["sample", "column", "header", "single-line sample",
+             "single-line column"])
+    def test_csv_error_names_the_line_of_its_row(self, tmp_path, text,
+                                                 column, header, error):
+        # A quoted field may span lines; the error names the row's last
+        # line, and a header that spans lines is still one row.
+        path = tmp_path / "multi.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{error}$"):
+            read_series(SeriesFile(str(path), format="csv", column=column,
+                                   header=header))
+
     @pytest.mark.parametrize("text, line_no", [
         ("1\n2\n" + "9" * 200_000 + "\n4\n", 3),
         ("1,a\n2,b\n3,c\n" + "9" * 200_000, 4)], ids=["middle", "last"])
@@ -468,27 +486,34 @@ class TestReportDocument:
             read_report(str(path))
 
     @pytest.mark.parametrize("version", ["1", "2"])
-    def test_patterns_parsed_once_per_document(self, tmp_path, monkeypatch,
-                                               version):
+    def test_one_parse_per_report(self, tmp_path, monkeypatch, version):
+        # Each report parses its own strings in one call, counterparts
+        # first: every string but "same-bin", however often it occurs.
         path = tmp_path / "r.json"
         doc = self._json(tmp_path, version)
         path.write_text(json.dumps(doc))
-        parsed = []
+        calls = []
         real = irrev_io._parse_codes
 
-        def counting(texts, m):
-            parsed.extend(texts)
+        def spying(texts, m):
+            calls.append((list(texts), m))
             return real(texts, m)
 
-        monkeypatch.setattr(irrev_io, "_parse_codes", counting)
+        monkeypatch.setattr(irrev_io, "_parse_codes", spying)
         tir, air = read_report(str(path)).reports
         assert tir.pairs[0].pattern.labels == air.pairs[0].pattern.labels
         assert tir.pairs[0].pattern == air.pairs[0].pattern
-        strings = {_pair_field(report["pairs"], i, key)
-                   for report in doc["reports"]
-                   for i in range(_pair_count(report["pairs"]))
-                   for key in ("pattern", "counterpart")} - {"same-bin"}
-        assert sorted(parsed) == sorted(strings)
+        expected = []
+        for report in doc["reports"]:
+            pairs = report["pairs"]
+            counterparts, patterns = (
+                [_pair_field(pairs, i, key) for i in range(_pair_count(pairs))]
+                for key in ("counterpart", "pattern"))
+            assert "same-bin" in counterparts
+            expected.append(([text for text in counterparts
+                              if text != "same-bin"] + patterns,
+                             report["config"]["m"]))
+        assert calls == expected
 
     def test_numpy_scalar_fields_are_written(self, tmp_path):
         report = dataclasses.replace(
@@ -746,6 +771,18 @@ class TestWriteReportStreams:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
 
+    def test_write_holds_less_than_the_file(self, tmp_path, tied_m6_document):
+        # Each list's texts are made from its column alone; a memo of texts
+        # kept for the whole document would hold about as much as the file.
+        path = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            write_report(tied_m6_document, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * path.stat().st_size
+
     @staticmethod
     def _assert_no_trace(tmp_path, doc):
         """A failing write of ``doc`` over an existing file leaves it as it was."""
@@ -760,14 +797,13 @@ class TestWriteReportStreams:
             self, tmp_path, monkeypatch, tied_m6_document):
         sizes = []
 
-        def failing_numbers_text(texts, column):
+        def failing_number_texts(column):
             # The counterpart list comes first and is in the temp file by now.
             sizes.extend(os.path.getsize(tmp_path / name)
                          for name in os.listdir(tmp_path) if name.endswith(".tmp"))
             raise _WriteFailed
 
-        monkeypatch.setattr(irrev_io._PairTexts, "_numbers_text",
-                            failing_numbers_text)
+        monkeypatch.setattr(irrev_io, "_number_texts", failing_number_texts)
         self._assert_no_trace(tmp_path, tied_m6_document)
         assert len(sizes) == 1 and sizes[0] > 0
 
@@ -778,6 +814,29 @@ class TestWriteReportStreams:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         self._assert_no_trace(tmp_path, tied_m6_document)
+
+
+class TestWideReports:
+    """Reports of m >= 10, whose pattern strings the ``%`` renderer writes
+    and numpy parses, on tied data where ``same-bin`` sits beside real
+    counterparts."""
+
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_round_trip(self, tmp_path, m):
+        x = np.round(np.random.default_rng(3).standard_normal(3000) * 0.5, 0)
+        doc = ReportDocument(provenance={"m": m}, reports=[
+            measure(x, EmbeddingConfig(m=m, scheme=scheme), kind)
+            for scheme in ("original", "equal-value")
+            for kind in ("TIR", "AIR")])
+        same_bin = [r.pairs.counterpart_codes == -1 for r in doc.reports]
+        assert any(s.any() and not s.all() for s in same_bin)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(doc, str(first))
+        assert first.read_bytes() == reference_report_text(doc).encode("utf-8")
+        back = read_report(str(first))
+        assert back.reports == doc.reports
+        write_report(back, str(second))
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestSweepCsv:
