@@ -364,7 +364,7 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     times slower on these arrays and grows the resident memory on first use.
     """
     codes = np.sort(np.concatenate((a, b)))
-    return codes[np.r_[True, codes[1:] != codes[:-1]]]
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
 def _counts_at(codes: np.ndarray, hist: PatternHistogram) -> np.ndarray:
@@ -388,7 +388,7 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     d = ci + cj
     order = np.argsort(d)
     d, num = d[order], (ci * (ci - cj))[order]
-    starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
     numerator, denominator = 0, 1
     for s, q in zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()):
         numerator, denominator = numerator * q + s * denominator, denominator * q

@@ -10,32 +10,42 @@ ascending value order. Two tie-handling schemes are supported:
 
 :func:`_histogram` counts the patterns of every window of a series (and
 of the one window of :func:`extract_pattern`). It makes one ``<=``
-comparison and one tie test per lag, ``x[:-d tau]`` against ``x[d tau:]``
-for d = 1..m-1; column pair (j, k) of every window reads lag k - j at offset
-``j tau``. The comparisons give each window's Lehmer digits c_j, the number
-of later samples sorted before sample j in the stable sort of the window,
-and its ranks, rank_j = c_j plus the earlier samples sorted before j. A
-window is tied iff a pair lies within ``tie_epsilon`` (the smallest gap is
-always between sorted neighbours, whose chaining makes the tie groups); an
-equal-value label is the lowest position of its tie component, found from
-the same per-lag tie tests. A code places each label at its rank as
-big-endian base-(m + 1) digits, ``sum(label_k * (m + 1) ** (m - 1 - rank_k))``:
-ascending codes are the lexicographic label order, and ``(m + 1) ** m``
-bounds ``m`` to 2..15.
+comparison and one tie test per lag r = 1..m-1, ``le_r = x[:-r tau] <=
+x[r tau:]``; column pair (j, k) of every window reads lag k - j at offset
+``j tau``. Every window quantity is a running sum over the lags, one array
+pass per lag rather than one per column pair:
+
+* ``S_r = S_{r-1}[:len(le_r)] + le_r`` counts, for each sample, the next r
+  lags it sorts at or before. Read at column m-1-r, whose later samples are
+  exactly r lags away, it gives the Lehmer digit ``c_{m-1-r} = r - S_r``:
+  the number of later samples sorted before that column in the stable sort
+  of the window.
+* ``P_k = P_{k-1}[tau:] + le_k`` counts the earlier samples sorted before
+  column k, so ``rank_k = c_k + P_k``.
+* ``T_r = T_{r-1}[:len(tie_r)] | tie_r`` marks a tie within r lags, and a
+  window is tied iff some ``T_r`` read at column m-1-r is set. A pair within
+  ``tie_epsilon`` is a tie (the smallest gap is always between sorted
+  neighbours, whose chaining makes the tie groups); an equal-value label is
+  the lowest position of its tie component, found from the per-lag tie
+  tests.
+
+A code places each label at its rank as big-endian base-(m + 1) digits,
+``sum(label_k * (m + 1) ** (m - 1 - rank_k))``: ascending codes are the
+lexicographic label order, and ``(m + 1) ** m`` bounds ``m`` to 2..15.
 
 Windows are counted on one of two paths:
 
 * Lehmer keys, when the stable-sort order fixes every window's pattern
   (the original scheme, or no tied window) and there are at least ``m!``
-  windows. Each window's key ``sum(c_j * (m - 1 - j)!)`` lies in
-  ``0..m! - 1``; the keys are counted, and each distinct key is translated
-  once to its code (digits, then ranks by right-to-left insertion).
-  Translating a key costs about what gathering a window's code costs, and
-  up to ``m!`` keys are translated, so the path pays only from ``m!``
-  windows on (the one window of :func:`extract_pattern` is gathered). A key
-  is held in the smallest signed type that holds ``m!``, and never narrower
-  than int16: numpy multiplies int8 digits by an unsigned or int8 weight in
-  a slow loop.
+  windows. Each window's key ``sum(c_j * (m - 1 - j)!)`` equals
+  ``(m! - 1) - sum(r! * S_r)`` and lies in ``0..m! - 1``. The keys are
+  sorted in place and counted at their run boundaries, and each distinct
+  key is looked up in :func:`_lehmer_table`, the codes of all ``m!`` keys,
+  built once per ``m``. The table is built only where there are at least
+  ``m!`` windows, so it is never larger than the float64 series (the one
+  window of :func:`extract_pattern` is gathered). A key is held in the
+  smallest signed type that holds ``m!``, and never narrower than int16:
+  numpy multiplies int8 sums by an unsigned or int8 weight in a slow loop.
 * Per-column gather otherwise (equal-value data with a tied window, or
   fewer than ``m!`` windows): each window's code is summed from its labels
   and ranks, and the codes are counted.
@@ -47,6 +57,7 @@ reversed window; complement ``m + 1 - label``, only for tie-free patterns).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -146,37 +157,52 @@ def _histogram(x: np.ndarray, config: EmbeddingConfig):
     if n < 1:
         raise SeriesTooShort(f"need at least {(m - 1) * tau + 1} samples for "
                              f"m={m}, tau={tau}; got {len(x)}")
-    # Column pair (j, k) of every window reads lag k - j at offset j tau.
-    lags = [(x[: len(x) - d * tau], x[d * tau :]) for d in range(1, m)]
-    before = [None] + [(a <= b).view(np.int8) for a, b in lags]
+    # Lag r compares each sample with the one r tau later; column pair
+    # (j, k) of window i reads lag k - j at i + j tau.
+    lags = [(x[: len(x) - r * tau], x[r * tau :]) for r in range(1, m)]
+    le = [None] + [(a <= b).view(np.int8) for a, b in lags]
     ties = [None] + [_ties(a, b, eps) for a, b in lags]
-    pairs = [(j, k, j * tau, k - j) for j, k in combinations(range(m), 2)]
-    # Lehmer digits: digits_j = #{k > j sorted before j} starts at m - 1 - j.
-    digits = np.empty((m, n), dtype=np.int8)
-    digits[:] = np.arange(m - 1, -1, -1, dtype=np.int8)[:, None]
-    for j, _, at, d in pairs:
-        digits[j] -= before[d][at : at + n]
+
+    def windows(run, r):
+        """Window view of a run over lags 1..r: it starts at column m-1-r,
+        the column whose later samples are those r lags away."""
+        return run[(m - 1 - r) * tau :][:n]
+
     tied = np.zeros(n, dtype=bool)
     if any(tie.any() for tie in ties[1:]):
-        for _, _, at, d in pairs:
-            tied |= ties[d][at : at + n]
+        run = ties[1]  # T_r = T_{r-1} | tie_r: a tie within r lags
+        for r in range(1, m):
+            if r > 1:
+                run = run[: len(ties[r])] | ties[r]
+            tied |= windows(run, r)
 
     if ((config.scheme == SCHEME_ORIGINAL or not tied.any())
             and math.factorial(m) <= n):
         # The stable-sort order fixes each pattern: count the windows by
-        # their Lehmer key and translate each distinct key once.
+        # their Lehmer key, sorted in place and cut at its run boundaries,
+        # and look each distinct key up in the table.
         dtype = _key_dtype(m)
-        keys = np.zeros(n, dtype=dtype)
-        for j in range(m - 1):
-            keys += digits[j] * dtype.type(math.factorial(m - 1 - j))
-        keys, counts = np.unique(keys, return_counts=True)
-        codes = _key_codes(keys, m)
+        keys = np.full(n, math.factorial(m) - 1, dtype=dtype)
+        for r, run in _lag_sums(le):
+            keys -= windows(run, r) * dtype.type(math.factorial(r))
+        keys.sort()
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        codes = _lehmer_table(m)[keys[starts]]
         order = np.argsort(codes)
-        return codes[order], counts[order], tied
+        return codes[order], np.diff(starts, append=n)[order], tied
 
-    ranks = digits  # rank_k = digits_k + #{j < k sorted before k}
-    for j, k, at, d in pairs:
-        ranks[k] += before[d][at : at + n]
+    # rank_k = (m - 1 - k) + P_k - S_{m-1-k}: the earlier samples sorted
+    # before column k plus its Lehmer digit. P_k is summed into fresh
+    # buffers, as the S_r spend le.
+    ranks = np.empty((m, n), dtype=np.int8)
+    ranks[0] = m - 1
+    run = le[1]
+    for k in range(1, m):
+        if k > 1:
+            run = run[tau:] + le[k]
+        np.add(run[:n], m - 1 - k, out=ranks[k])
+    for r, run in _lag_sums(le):
+        ranks[m - 1 - r] -= windows(run, r)
     labels = range(1, m + 1)
     if config.scheme == SCHEME_EQUAL_VALUE and tied.any():
         # Minima flow along tied pairs until none changes (for eps = 0 the
@@ -184,6 +210,7 @@ def _histogram(x: np.ndarray, config: EmbeddingConfig):
         # a -= tie * max(a - b, 0) sets a = min(a, b) where tied; on 100800
         # samples it takes 0.13 ms, np.minimum(..., where=tie) 0.18 ms at 3%
         # ties and 0.95 ms at 30%.
+        pairs = [(j, k, j * tau, k - j) for j, k in combinations(range(m), 2)]
         labels = np.empty((m, n), dtype=np.int8)
         labels[:] = np.arange(1, m + 1, dtype=np.int8)[:, None]
         step = np.empty(n, dtype=np.int8)
@@ -201,6 +228,27 @@ def _histogram(x: np.ndarray, config: EmbeddingConfig):
     codes, counts = np.unique(_placed_codes(labels, ranks, m),
                               return_counts=True)
     return codes, counts, tied
+
+
+def _lag_sums(le: list):
+    """``(r, S_r)`` for r = 1..m-1, ``S_r = S_{r-1}[:len(le_r)] + le_r``: how
+    many of the next r lags each sample sorts at or before. ``S_r`` is summed
+    into ``le_r``'s buffer, so ``le`` is spent."""
+    run = le[1]
+    for r in range(1, len(le)):
+        if r > 1:
+            run = np.add(run[: len(le[r])], le[r], out=le[r])
+        yield r, run
+
+
+@functools.cache
+def _lehmer_table(m: int) -> np.ndarray:
+    """Read-only codes of the Lehmer keys ``0..m! - 1``, built on first use.
+    The keyed path asks for it only with at least ``m!`` windows, so it is
+    never larger than the float64 series."""
+    table = _key_codes(np.arange(math.factorial(m)), m)
+    table.flags.writeable = False
+    return table
 
 
 def _key_codes(keys: np.ndarray, m: int) -> np.ndarray:

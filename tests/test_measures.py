@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -383,15 +384,15 @@ _PATH_CASES = {
 class TestEncoderPaths:
     @pytest.fixture()
     def keyed(self, monkeypatch):
-        """Calls of the key translation, counted."""
+        """Calls for the key translation table, counted."""
         calls = []
-        real = ordinal._key_codes
+        real = ordinal._lehmer_table
 
-        def counting(keys, m):
+        def counting(m):
             calls.append(m)
-            return real(keys, m)
+            return real(m)
 
-        monkeypatch.setattr(ordinal, "_key_codes", counting)
+        monkeypatch.setattr(ordinal, "_lehmer_table", counting)
         return calls
 
     @pytest.mark.parametrize("case", _PATH_CASES)
@@ -407,6 +408,47 @@ class TestEncoderPaths:
                 w = x[i : i + (m - 1) * tau + 1 : tau]
                 assert extract_pattern(w, dataclasses.replace(cfg, tau=1)).labels == \
                     _ordinal_labels(list(w), scheme, eps)
+
+    @pytest.mark.parametrize("m, tau", [(8, 2), (8, 3), (9, 2), (9, 3)])
+    @pytest.mark.parametrize("scheme", ["original", "equal-value"])
+    @pytest.mark.parametrize("tie_epsilon", [0.0, 0.5, 1.0])
+    def test_gather_path_at_large_m(self, m, tau, scheme, tie_epsilon, keyed):
+        # Fewer than m! windows: every window's code is gathered, also
+        # under the original scheme, from ranks summed over the lags.
+        x = np.random.default_rng(10 * m + tau).integers(0, 3, 90).astype(float)
+        cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
+                              tie_epsilon=tie_epsilon)
+        build_histogram(x, cfg)
+        assert not keyed
+        _check_against_oracle(x, cfg)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_lehmer_table_translates_every_key(self, m):
+        table = ordinal._lehmer_table(m)
+        assert table.tolist() == ordinal._key_codes(
+            np.arange(math.factorial(m)), m).tolist()
+        assert not table.flags.writeable
+        assert ordinal._lehmer_table(m) is table
+
+    def test_no_table_for_fewer_windows_than_patterns(self, monkeypatch):
+        built = []
+        real = ordinal._key_codes
+
+        def recording(keys, m):
+            built.append((m, len(keys)))
+            return real(keys, m)
+
+        monkeypatch.setattr(ordinal, "_key_codes", recording)
+        monkeypatch.setattr(ordinal, "_lehmer_table", functools.cache(
+            ordinal._lehmer_table.__wrapped__))
+        x = _tie_free(5046, 3)  # 5040 = 7! windows at m = 7
+        for m, series in ((7, x[:-1]), (8, x), (9, x)):
+            build_histogram(series, EmbeddingConfig(m=m))
+        assert built == []
+        for _ in range(2):
+            build_histogram(x, EmbeddingConfig(m=7))
+        assert built == [(7, 5040)]
+        assert ordinal._lehmer_table(7).nbytes <= x.nbytes
 
     @pytest.mark.parametrize("m", range(2, 16))
     def test_key_translation_matches_the_label_order(self, m):
