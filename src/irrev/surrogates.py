@@ -115,19 +115,48 @@ def _rel_spectrum_error(mag: np.ndarray, target_mag: np.ndarray) -> float:
     )
 
 
-def _ranks(y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Exactly ``np.argsort(y, kind="stable")``, mostly at default-sort cost.
+_SIGN = np.uint64(1 << 63)
 
-    With distinct keys the sorting permutation is unique, so the default
-    sort gives the stable one; one gather-and-compare detects ties (signed
-    zeros included, as ``-0.0 == 0.0``) and only then is the stable sort run.
-    The gather goes into ``scratch`` when given.
+
+def _ranks(y: np.ndarray, scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(y, kind="stable")``, from one sort of uint64 words.
+
+    Each word holds the top bits of the sample's order-preserving key (the
+    float64 bits with the sign bit flipped, or every bit flipped for a
+    negative sample, after ``-0.0`` became ``0.0``) and, in its low ``b``
+    bits, the sample's index from ``positions`` (``arange(len(y))`` as
+    uint64). Value order implies word order, so one in-place sort ranks
+    every sample whose key prefix no other sample shares. Samples that share
+    a prefix (ties, and values within about ``2**(b - 52)`` relative) sit
+    in runs already in index order; one stable sort of their values puts
+    them in place. ``scratch`` is a float64 buffer of ``len(y)``, and
+    ``y`` is left unchanged.
     """
-    order = np.argsort(y)
-    ys = np.take(y, order, out=scratch)
-    if np.any(ys[1:] == ys[:-1]):
-        return np.argsort(y, kind="stable")
-    return order
+    n = len(y)
+    b = (n - 1).bit_length()
+    low = np.uint64((1 << b) - 1)
+    np.add(y, 0.0, out=scratch)  # -0.0 + 0.0 is 0.0
+    bits = scratch.view(np.uint64)
+    words = np.empty(n, dtype=np.uint64)
+    np.right_shift(bits.view(np.int64), 63, out=words.view(np.int64))
+    np.bitwise_or(words, _SIGN, out=words)
+    np.bitwise_xor(words, bits, out=words)
+    np.bitwise_and(words, ~low, out=words)
+    np.bitwise_or(words, positions, out=words)
+    words.sort()
+    prefix = np.right_shift(words, b, out=bits)
+    shared = prefix[1:] == prefix[:-1]
+    if shared.any():
+        # Runs of one prefix, in ascending prefix order: a run's values all
+        # lie below the next run's, so one stable sort orders every run.
+        in_run = np.zeros(n, dtype=bool)
+        in_run[1:] = shared
+        in_run[:-1] |= shared
+        run = words[in_run]
+        run = run[np.argsort(y[run & low], kind="stable")]
+        words[in_run] = run
+    np.bitwise_and(words, low, out=words)
+    return words.view(np.intp)
 
 
 # Largest sample magnitudes whose spectrum, and its squares in the spectrum
@@ -143,13 +172,16 @@ class IaaftSeries:
     spectrum is ``target_dc`` and ``target_mag`` and whose sorted values
     are ``sorted_scaled``. ``sorted_x`` holds the sorted original values,
     which every surrogate takes; it is ``sorted_scaled`` itself when the
-    series is not rescaled.
+    series is not rescaled. ``positions`` is a read-only uint64
+    ``arange(len(x))``: the sample indices that every member's ranks pack
+    below the key bits.
     """
     x: np.ndarray
     target_dc: complex
     target_mag: np.ndarray
     sorted_x: np.ndarray
     sorted_scaled: np.ndarray
+    positions: np.ndarray
 
 
 def prepare_iaaft(series) -> IaaftSeries:
@@ -167,17 +199,20 @@ def prepare_iaaft(series) -> IaaftSeries:
     n = len(x)
     if n < 8:
         raise SeriesTooShort(f"IAAFT needs at least 8 samples, got {n}")
-    if np.all(x == x[0]):
-        raise DegenerateSeries("constant series has no non-DC spectral content")
     sorted_x = np.sort(x)
+    if sorted_x[0] == sorted_x[-1]:
+        raise DegenerateSeries("constant series has no non-DC spectral content")
     top = max(-sorted_x[0], sorted_x[-1])
     scaled, sorted_scaled = x, sorted_x
     if not _SAFE_MAGNITUDES[0] <= top <= _SAFE_MAGNITUDES[1]:
         exponent = -int(np.frexp(top)[1])
         scaled, sorted_scaled = np.ldexp(x, exponent), np.ldexp(sorted_x, exponent)
     target = np.fft.rfft(scaled)
+    positions = np.arange(n, dtype=np.uint64)
+    positions.flags.writeable = False
     return IaaftSeries(x=scaled, target_dc=target[0], target_mag=np.abs(target),
-                       sorted_x=sorted_x, sorted_scaled=sorted_scaled)
+                       sorted_x=sorted_x, sorted_scaled=sorted_scaled,
+                       positions=positions)
 
 
 def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
@@ -185,6 +220,10 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
 
     Each call allocates its own buffers and reuses them in every iteration,
     so concurrent calls are safe and give the bytes of sequential ones.
+    Each iteration's ranks are a fresh array, packed with the shared
+    ``prepared.positions`` and using ``cur`` as scratch before the scatter
+    overwrites it; two word arrays reused in turn made more page faults and
+    a higher peak RSS.
     """
     index = checked_int("index", index, 0, _MASK64 - 1)  # no alias of index + 1
     x, target_mag = prepared.x, prepared.target_mag
@@ -215,8 +254,7 @@ def draw_iaaft(prepared: IaaftSeries, params: IaaftParams, index: int):
         f[0] = prepared.target_dc
         np.fft.irfft(f, n, out=y)
 
-        # The tie check gathers into cur, which the scatter then overwrites.
-        order = _ranks(y, cur)
+        order = _ranks(y, cur, prepared.positions)
         cur[order] = sorted_scaled
         if prev_order is not None and np.array_equal(order, prev_order):
             converged = True
@@ -243,9 +281,8 @@ def iaaft(series, params: IaaftParams, index: int = 0):
     keep current phases; the DC bin keeps the original value and zero-
     magnitude bins get zero phase) with rank ordering (replace values by the
     original's sorted values at the current ranks, ties broken by index).
-    Ranks come from the default sort and fall back to the stable sort only
-    when the values have ties, so they, and the output bytes, are those of
-    a stable sort.
+    The ranks, and so the output bytes, are those of a stable sort; see
+    :func:`_ranks` for how one sort of packed words gives them.
     Stops when the rank permutation repeats between consecutive iterations
     or ``max_iterations`` is reached; returns the rank-ordered series.
     ``index`` must be an integer in 0..2**64 - 2.

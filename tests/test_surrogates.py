@@ -112,10 +112,16 @@ class TestIaaft:
             "1cb52d872ae0b7d0c6532b4ffb2e6f508ec59741868a77faef8c1333b177e31d",
             id="discrete",
         ),
-        pytest.param(  # every iteration has tied values: the stable path
+        pytest.param(  # every iteration has tied values: the prefix fix-up
             np.tile([0.0, 1.0], 32), IaaftParams(seed=1), 3,
             "96a034b8134b402ab1d7bd56b2ed8a389137223c39982c321d8205dd512a70fc",
             id="alternating",
+        ),
+        pytest.param(  # 2**17 + 1 samples: the ranks pack 18 index bits
+            np.random.default_rng(17).standard_normal(2**17 + 1),
+            IaaftParams(seed=2, max_iterations=3), 1,
+            "57977e0beeccce9a7eab5d618ee21c0a5921d00de202b69254a351c4bab93699",
+            id="gaussian-2**17+1",
         ),
     ])
     def test_surrogate_bytes_are_frozen(self, series, params, index, digest):
@@ -240,6 +246,18 @@ class TestIaaftParams:
 _tied_samples = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
 
+def _checked_ranks(y):
+    """``_ranks(y)`` with fresh buffers, checked to leave ``y`` unchanged and
+    to equal the stable argsort as an intp array."""
+    y = np.asarray(y, dtype=np.float64)
+    before = y.copy()
+    got = _ranks(y, np.empty(len(y)), np.arange(len(y), dtype=np.uint64))
+    assert got.dtype == np.intp
+    assert np.array_equal(y.view(np.uint64), before.view(np.uint64))
+    assert np.array_equal(got, np.argsort(y, kind="stable"))
+    return got
+
+
 class TestRanks:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -248,10 +266,49 @@ class TestRanks:
                  unique=True),
     ))
     def test_equals_stable_argsort(self, values):
-        y = np.array(values, dtype=np.float64)
-        got = _ranks(y)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, np.argsort(y, kind="stable"))
+        _checked_ranks(values)
+
+    @pytest.mark.parametrize("centre", [1.0, -1.0, 0.0, 3.7e-5, -2.0**1000,
+                                        5e-324])
+    def test_floating_point_neighbours(self, centre):
+        # Neighbours differ only in bits below the packed key prefix, so the
+        # sort leaves them in index order and the prefix runs must fix them.
+        rng = np.random.default_rng(5)
+        y = np.array([centre])
+        for _ in range(8):
+            y = np.concatenate([np.nextafter(y, np.inf), y,
+                                np.nextafter(y, -np.inf)])
+        y = np.unique(y)
+        _checked_ranks(y[::-1])
+        _checked_ranks(rng.permutation(y))
+        _checked_ranks(np.concatenate([rng.permutation(y), rng.normal(size=64)]))
+
+    def test_signed_zeros_among_other_values(self):
+        rng = np.random.default_rng(6)
+        y = rng.choice([-0.0, 0.0, -0.0, 0.0, -1.5, 2.0, 1e-300, -1e-300], 500)
+        _checked_ranks(y)
+        _checked_ranks(np.concatenate([rng.normal(size=300), [-0.0, 0.0] * 50]))
+
+    @pytest.mark.parametrize("values", [
+        [5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310, 0.0, -0.0],
+        [2.0**1000, -2.0**1000, 2.0**-1000, -2.0**-1000, 1.0, -1.0],
+        [np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny,
+         -np.finfo(float).tiny, 2.0**1000 * (1 + 2.0**-52)],
+    ])
+    def test_extreme_magnitudes(self, values):
+        rng = np.random.default_rng(7)
+        y = rng.choice(values, 400)
+        _checked_ranks(y)
+        _checked_ranks(np.concatenate([y, rng.normal(size=400)]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257,
+                                   2**17 - 1, 2**17, 2**17 + 1])
+    def test_lengths_around_powers_of_two(self, n):
+        # The index takes (n - 1).bit_length() bits: the last index uses all
+        # of them when n is a power of two plus one.
+        rng = np.random.default_rng(n)
+        _checked_ranks(rng.normal(size=n))
+        _checked_ranks(np.round(rng.normal(size=n), 1))
 
 
 class TestPercentile:
