@@ -13,18 +13,17 @@ well behaved when the counterpart pattern is forbidden. The measure value is
 
     value = 1/2 * sum over patterns of Ys(H(pi), G(pi))
 
-where H and G are the forward and transformed histograms. Windows are
-encoded by :mod:`irrev.ordinal` straight from the series (the reversed
-series for TIR, ``-x`` for AIR); H is built once per (m, tau) and kept as
-sorted int64 pattern codes with their counts (big-endian label digits, so
-code order is the lexicographic label order). On tie-free data, and for AIR
-under the equal-value scheme, the symmetric counterpart pi* of each pattern
-is exact, so G is H under the code-level map pi -> pi* (digit reversal for
-AIR, digit complement for TIR) and the value is presented as a sum over
-unordered pairs {pi, pi*}. Only tied TIR, and tied AIR under the original
-scheme, re-extract G from the transformed windows and pair each bin with
-itself. H and G are aligned on the union of their codes, and the pair
-columns are computed on arrays.
+where H and G are the forward and transformed histograms, kept as sorted
+int64 pattern codes (big-endian label digits, so code order is the
+lexicographic label order) with their counts; H is built once per (m, tau).
+On tie-free data, and for AIR under the equal-value scheme, the symmetric
+counterpart pi* of each pattern is exact, so G is H under the code-level
+map pi -> pi* (digit reversal for AIR, digit complement for TIR) and the
+value is a sum over unordered pairs {pi, pi*}. Tied TIR, and tied AIR under
+the original scheme, take G from the transformed windows, decoded from H's
+window keys (for ``tie_epsilon > 0``, encoded from the reversed series or
+``-x``), and pair each bin with itself. H and G are aligned on the union of
+their codes, and the pair columns are computed on arrays.
 
 Histograms and the pairs of every report, hand-built ones too, stay
 integer-code columns (a :class:`PairTable`, with float64 values).
@@ -49,20 +48,11 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParams, InvalidPattern,
                      SeriesTooShort, checked_choice, checked_series)
-from .ordinal import (
-    SCHEME_EQUAL_VALUE,
-    EmbeddingConfig,
-    Pattern,
-    _complemented_codes,
-    _decode,
-    _histogram,
-    _pattern_code,
-    _reversed_codes,
-)
+from .ordinal import (SCHEME_EQUAL_VALUE, TRANSFORM_IDENTITY, TRANSFORM_NEGATE,
+                      TRANSFORM_TIME_REVERSE, EmbeddingConfig, Pattern,
+                      _complemented_codes, _decode, _histogram, _key_histogram,
+                      _pattern_code, _reversed_codes, _run_starts)
 
-TRANSFORM_IDENTITY = "identity"
-TRANSFORM_TIME_REVERSE = "time-reverse"
-TRANSFORM_NEGATE = "negate"
 _TRANSFORMS = (TRANSFORM_IDENTITY, TRANSFORM_TIME_REVERSE, TRANSFORM_NEGATE)
 
 KIND_TIR = "TIR"
@@ -117,6 +107,8 @@ class PatternHistogram:
     histogram. ``counts`` is a read-only ``Pattern -> count`` mapping over
     them and ``patterns`` the decoded codes in code order; both build their
     ``Pattern`` objects on first read, and ``len(counts)`` builds none.
+    ``_keys`` holds the distinct window keys and their counts where they
+    fix the transformed windows too, else None.
     """
 
     config: EmbeddingConfig
@@ -125,6 +117,8 @@ class PatternHistogram:
     n_tied_windows: int = 0
     codes: np.ndarray = field(kw_only=True, compare=False, repr=False)
     code_counts: np.ndarray = field(kw_only=True, compare=False, repr=False)
+    _keys: tuple | None = field(default=None, kw_only=True, compare=False,
+                                repr=False)
 
     @cached_property
     def counts(self) -> Mapping[Pattern, int]:
@@ -319,10 +313,10 @@ def build_histogram(
         x = x[::-1].copy()  # contiguous: comparisons are slow on strides < 0
     elif transform == TRANSFORM_NEGATE:
         x = -x
-    codes, code_counts, tied = _histogram(x, config)
+    codes, code_counts, tied, keys = _histogram(x, config)
     return PatternHistogram(config, transform, len(tied),
                             int(np.count_nonzero(tied)),
-                            codes=codes, code_counts=code_counts)
+                            codes=codes, code_counts=code_counts, _keys=keys)
 
 
 def ys_divergence(a, b):
@@ -364,13 +358,14 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     times slower on these arrays and grows the resident memory on first use.
     """
     codes = np.sort(np.concatenate((a, b)))
-    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes[_run_starts(codes)]
 
 
-def _counts_at(codes: np.ndarray, hist: PatternHistogram) -> np.ndarray:
-    """Counts of ``hist`` at each code, 0 where it has none."""
-    at = np.minimum(np.searchsorted(hist.codes, codes), len(hist.codes) - 1)
-    return np.where(hist.codes[at] == codes, hist.code_counts[at], 0)
+def _counts_at(codes: np.ndarray, known: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+    """Counts of the sorted codes ``known`` at each code, 0 where absent."""
+    at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+    return np.where(known[at] == codes, counts[at], 0)
 
 
 def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
@@ -388,7 +383,7 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     d = ci + cj
     order = np.argsort(d)
     d, num = d[order], (ci * (ci - cj))[order]
-    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    starts = _run_starts(d)
     numerator, denominator = 0, 1
     for s, q in zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()):
         numerator, denominator = numerator * q + s * denominator, denominator * q
@@ -405,13 +400,20 @@ def _report(x: np.ndarray, fwd: PatternHistogram,
     if counterpart_of is None:
         transform = (TRANSFORM_TIME_REVERSE if kind == KIND_TIR
                      else TRANSFORM_NEGATE)
-        bwd = build_histogram(x, config, transform)
-        support = _union(fwd.codes, bwd.codes)
-        h, g = _counts_at(support, fwd), _counts_at(support, bwd)
-    else:
+        if fwd._keys:  # the forward keys fix the transformed windows too
+            g_codes, g_counts = _key_histogram(*fwd._keys, config, n, transform)
+        else:  # tie_epsilon > 0: encode the transformed series
+            bwd = build_histogram(x, config, transform)
+            g_codes, g_counts = bwd.codes, bwd.code_counts
+        support = _union(fwd.codes, g_codes)
+        h = _counts_at(support, fwd.codes, fwd.code_counts)
+        g = _counts_at(support, g_codes, g_counts)
+    else:  # support is closed under the involution: partner permutes it
         support = _union(fwd.codes, counterpart_of(fwd.codes, m))
         partner = counterpart_of(support, m)
-        h, g = _counts_at(support, fwd), _counts_at(partner, fwd)
+        h = _counts_at(support, fwd.codes, fwd.code_counts)
+        g = np.empty_like(h)
+        g[np.argsort(partner)] = h
 
     pf, pc = h / n, g / n
     ys = ys_divergence(pf, pc)

@@ -9,46 +9,37 @@ ascending value order. Two tie-handling schemes are supported:
   position index, e.g. ``{3,1,7,1,5}`` encodes to ``(2,2,1,5,3)``.
 
 :func:`_histogram` counts the patterns of every window of a series (and
-of the one window of :func:`extract_pattern`). It makes one ``<=``
-comparison and one tie test per lag r = 1..m-1, ``le_r = x[:-r tau] <=
-x[r tau:]``; column pair (j, k) of every window reads lag k - j at offset
-``j tau``. Every window quantity is a running sum over the lags, one array
-pass per lag rather than one per column pair:
+of the one window of :func:`extract_pattern`) from one ``<=`` comparison and
+one tie test per lag r = 1..m-1 (``x[:-r tau]`` against ``x[r tau:]``;
+column pair (j, k) of a window reads lag k - j at offset ``j tau``). Each
+window quantity is a running sum or OR over the lags, read at column m-1-r:
 
-* ``S_r = S_{r-1}[:len(le_r)] + le_r`` counts, for each sample, the next r
-  lags it sorts at or before. Read at column m-1-r, whose later samples are
-  exactly r lags away, it gives the Lehmer digit ``c_{m-1-r} = r - S_r``:
-  the number of later samples sorted before that column in the stable sort
-  of the window.
-* ``P_k = P_{k-1}[tau:] + le_k`` counts the earlier samples sorted before
-  column k, so ``rank_k = c_k + P_k``.
-* ``T_r = T_{r-1}[:len(tie_r)] | tie_r`` marks a tie within r lags, and a
-  window is tied iff some ``T_r`` read at column m-1-r is set. A pair within
-  ``tie_epsilon`` is a tie (the smallest gap is always between sorted
-  neighbours, whose chaining makes the tie groups); an equal-value label is
-  the lowest position of its tie component, found from the per-lag tie
-  tests.
+* ``S_r = S_{r-1}[:len(le_r)] + le_r`` counts the next r lags a sample sorts
+  at or before, so the Lehmer key ``(m! - 1) - sum(r! * S_r)``, in
+  ``0..m! - 1``, fixes the window's stable-sort order.
+* ``T_r = T_{r-1}[:len(tie_r)] | tie_r``, a tie within r lags, is tie bit
+  m-1-r: a column sorted after that one lies within ``tie_epsilon`` (for
+  eps > 0, earlier columns add an OR over the earlier lags). As the smallest
+  gap lies between sorted neighbours, the bit of the column at stable
+  position p says that p and p + 1 share a tie group.
 
 A code places each label at its rank as big-endian base-(m + 1) digits,
 ``sum(label_k * (m + 1) ** (m - 1 - rank_k))``: ascending codes are the
 lexicographic label order, and ``(m + 1) ** m`` bounds ``m`` to 2..15.
 
-Windows are counted on one of two paths:
-
-* Lehmer keys, when the stable-sort order fixes every window's pattern
-  (the original scheme, or no tied window) and there are at least ``m!``
-  windows. Each window's key ``sum(c_j * (m - 1 - j)!)`` equals
-  ``(m! - 1) - sum(r! * S_r)`` and lies in ``0..m! - 1``. The keys are
-  sorted in place and counted at their run boundaries, and each distinct
-  key is looked up in :func:`_lehmer_table`, the codes of all ``m!`` keys,
-  built once per ``m``. The table is built only where there are at least
-  ``m!`` windows, so it is never larger than the float64 series (the one
-  window of :func:`extract_pattern` is gathered). A key is held in the
-  smallest signed type that holds ``m!``, and never narrower than int16:
-  numpy multiplies int8 sums by an unsigned or int8 weight in a slow loop.
-* Per-column gather otherwise (equal-value data with a tied window, or
-  fewer than ``m!`` windows): each window's code is summed from its labels
-  and ranks, and the codes are counted.
+The window keys are sorted in place and counted at their run boundaries,
+and only the distinct keys are decoded. Tie-free windows, at least ``m!`` of
+them, have the Lehmer key, in the smallest signed type holding ``m!`` but
+never int8 (numpy multiplies int8 sums by an unsigned or int8 weight in a
+slow loop), decoded by :func:`_lehmer_table`. Other windows have
+``lehmer << m | bits``, below ``m! * 2**m`` and so inside int64. It fixes
+the pattern under both schemes and, for eps = 0, those of the reversed and
+negated window: a group at stable positions s..e holds its columns in index
+order, reversal maps column c to m - 1 - c and position p to s + e - p, and
+negation reverses the group order, p to (m - 1 - e) + (p - s).
+:func:`_key_histogram` decodes them one stable position at a time, by
+:func:`_order_table` or, with fewer than ``m!`` windows, by the Lehmer
+digits; an equal-value label is 1 + the lowest column of its group.
 
 Two symmetry transforms act on patterns and on codes: amplitude reversal
 (the negated window; labels or digits reversed) and time reversal (the
@@ -61,7 +52,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from itertools import combinations, groupby
+from itertools import groupby
 from numbers import Real
 
 import numpy as np
@@ -81,6 +72,10 @@ from .errors import (
 SCHEME_ORIGINAL = "original"
 SCHEME_EQUAL_VALUE = "equal-value"
 _SCHEMES = (SCHEME_ORIGINAL, SCHEME_EQUAL_VALUE)
+
+TRANSFORM_IDENTITY = "identity"
+TRANSFORM_TIME_REVERSE = "time-reverse"
+TRANSFORM_NEGATE = "negate"
 
 # Largest m whose pattern codes, below (m + 1) ** m, fit in an int64.
 _M_MAX = 15
@@ -144,14 +139,10 @@ def _ties(a: np.ndarray, b: np.ndarray, tie_epsilon) -> np.ndarray:
         return np.abs(b - a) <= tie_epsilon
 
 
-def _key_dtype(m: int) -> np.dtype:
-    """Smallest signed type holding ``m!``, never narrower than int16."""
-    return np.result_type(np.int16, np.min_scalar_type(-math.factorial(m)))
-
-
 def _histogram(x: np.ndarray, config: EmbeddingConfig):
     """Sorted distinct pattern codes of the windows of ``x``, their counts,
-    and which windows hold a tie."""
+    which windows hold a tie, and the distinct keys with their counts (keyed
+    path and eps = 0 only, else None)."""
     m, tau, eps = config.m, config.tau, config.tie_epsilon
     n = len(x) - (m - 1) * tau
     if n < 1:
@@ -168,66 +159,88 @@ def _histogram(x: np.ndarray, config: EmbeddingConfig):
         the column whose later samples are those r lags away."""
         return run[(m - 1 - r) * tau :][:n]
 
+    any_tie = any(tie.any() for tie in ties[1:])
+    shift = m if any_tie or n < math.factorial(m) else 0  # keyed
+    top = (math.factorial(m) - 1) << shift  # every key is below top + 2**shift
+    dtype = np.result_type(np.int16, np.min_scalar_type(-top - (1 << shift)))
+    keys = np.full(n, top, dtype=dtype)
     tied = np.zeros(n, dtype=bool)
-    if any(tie.any() for tie in ties[1:]):
-        run = ties[1]  # T_r = T_{r-1} | tie_r: a tie within r lags
+    if any_tie:
+        # Tie bit k: a column that sorts after column k lies within eps. A
+        # later column does where le holds (always, for eps = 0), an
+        # earlier one where le fails.
         for r in range(1, m):
-            if r > 1:
-                run = run[: len(ties[r])] | ties[r]
-            tied |= windows(run, r)
-
-    if ((config.scheme == SCHEME_ORIGINAL or not tied.any())
-            and math.factorial(m) <= n):
-        # The stable-sort order fixes each pattern: count the windows by
-        # their Lehmer key, sorted in place and cut at its run boundaries,
-        # and look each distinct key up in the table.
-        dtype = _key_dtype(m)
-        keys = np.full(n, math.factorial(m) - 1, dtype=dtype)
-        for r, run in _lag_sums(le):
-            keys -= windows(run, r) * dtype.type(math.factorial(r))
-        keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        codes = _lehmer_table(m)[keys[starts]]
-        order = np.argsort(codes)
-        return codes[order], np.diff(starts, append=n)[order], tied
-
-    # rank_k = (m - 1 - k) + P_k - S_{m-1-k}: the earlier samples sorted
-    # before column k plus its Lehmer digit. P_k is summed into fresh
-    # buffers, as the S_r spend le.
-    ranks = np.empty((m, n), dtype=np.int8)
-    ranks[0] = m - 1
-    run = le[1]
-    for k in range(1, m):
-        if k > 1:
-            run = run[tau:] + le[k]
-        np.add(run[:n], m - 1 - k, out=ranks[k])
+            tie = ties[r] if eps == 0 else ties[r] & le[r].view(bool)
+            run = tie if r == 1 else run[: len(tie)] | tie
+            keys |= windows(run, r) * dtype.type(1 << (m - 1 - r))
+        for k in range(1, m if eps else 1):
+            tie = ties[k] & ~le[k].view(bool)
+            run = tie if k == 1 else run[tau:] | tie
+            keys |= run[:n] * dtype.type(1 << k)
+        tied = keys != top
     for r, run in _lag_sums(le):
-        ranks[m - 1 - r] -= windows(run, r)
-    labels = range(1, m + 1)
-    if config.scheme == SCHEME_EQUAL_VALUE and tied.any():
-        # Minima flow along tied pairs until none changes (for eps = 0 the
-        # components are equality classes, and one pass reaches every minimum).
-        # a -= tie * max(a - b, 0) sets a = min(a, b) where tied; on 100800
-        # samples it takes 0.13 ms, np.minimum(..., where=tie) 0.18 ms at 3%
-        # ties and 0.95 ms at 30%.
-        pairs = [(j, k, j * tau, k - j) for j, k in combinations(range(m), 2)]
-        labels = np.empty((m, n), dtype=np.int8)
-        labels[:] = np.arange(1, m + 1, dtype=np.int8)[:, None]
-        step = np.empty(n, dtype=np.int8)
-        while True:
-            previous = labels.copy()
-            for j, k, at, d in pairs:
-                tie = ties[d][at : at + n]
-                for a, b in ((labels[k], labels[j]), (labels[j], labels[k])):
-                    np.subtract(a, b, out=step)
-                    np.maximum(step, 0, out=step)
-                    step *= tie
-                    a -= step
-            if eps == 0 or np.array_equal(labels, previous):
-                break
-    codes, counts = np.unique(_placed_codes(labels, ranks, m),
-                              return_counts=True)
-    return codes, counts, tied
+        keys -= windows(run, r) * dtype.type(math.factorial(r) << shift)
+    keys.sort()
+    starts = _run_starts(keys)
+    keys, counts = keys[starts], np.diff(starts, append=n)
+    if shift:
+        return (*_key_histogram(keys, counts, config, n), tied,
+                (keys, counts) if eps == 0 else None)
+    codes = _lehmer_table(m)[keys]
+    order = np.argsort(codes)
+    return codes[order], counts[order], tied, None
+
+
+def _key_histogram(keys: np.ndarray, key_counts: np.ndarray,
+                   config: EmbeddingConfig, n_windows: int,
+                   transform: str = TRANSFORM_IDENTITY):
+    """Sorted codes and counts of the windows with the distinct keys ``lehmer
+    << m | bits``, or for tie_epsilon = 0 of their reversed or negated twins."""
+    m, reverse = config.m, transform == TRANSFORM_TIME_REVERSE
+    original = config.scheme == SCHEME_ORIGINAL
+    if original and transform == TRANSFORM_IDENTITY:  # tie bits play no part
+        keys = keys >> m << m
+        starts = _run_starts(keys)
+        keys, key_counts = keys[starts], np.add.reduceat(key_counts, starts)
+    lehmer = (keys >> m).astype(np.intp)
+    bits = (keys & ((1 << m) - 1)).astype(np.int16)
+    orders = (_order_table(m).take(lehmer, axis=1)
+              if math.factorial(m) <= n_windows else _stable_orders(lehmer, m))
+    # Positions p and p + 1 share a tie group iff the column at p has its bit.
+    joined = [((bits >> order) & 1).astype(np.int8) for order in orders[:-1]]
+
+    def spread_back(values) -> list:
+        """Each group's value at its last position, at all its positions."""
+        values = list(values)
+        for p in range(m - 2, -1, -1):
+            values[p] = values[p] + joined[p] * (values[p + 1] - values[p])
+        return values
+
+    # The transformed window's column at each position, and the label 1 +
+    # that column, or 1 + its group's lowest column (a running min).
+    columns = [m - 1 - order if reverse else order for order in orders]
+    if not original:
+        for p, join in zip(range(1, m), joined):
+            columns[p] = np.minimum(columns[p], columns[p - 1] + m * (1 - join))
+        columns = spread_back(columns)
+    places = range(m)
+    if transform == TRANSFORM_NEGATE or reverse and original:
+        first = [0]  # of the group at positions s..e
+        for p, join in zip(places[1:], joined):
+            first.append(p - join * (p - first[-1]))
+        places = [s + e - p if reverse else m - 1 - e + p - s
+                  for p, s, e in zip(places, first, spread_back(places))]
+    codes = sum(_code_weights(m).take(place) * (column + 1)
+                for column, place in zip(columns, places))
+    order = np.argsort(codes)
+    codes, key_counts = codes[order], key_counts[order]
+    starts = _run_starts(codes)
+    return codes[starts], np.add.reduceat(key_counts, starts)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices where the runs of equal neighbours of ``values`` start."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
 def _lag_sums(le: list):
@@ -244,38 +257,39 @@ def _lag_sums(le: list):
 @functools.cache
 def _lehmer_table(m: int) -> np.ndarray:
     """Read-only codes of the Lehmer keys ``0..m! - 1``, built on first use.
-    The keyed path asks for it only with at least ``m!`` windows, so it is
-    never larger than the float64 series."""
+    The tie-free path asks for it only with at least ``m!`` windows, so it
+    is never larger than the float64 series."""
     table = _key_codes(np.arange(math.factorial(m)), m)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _order_table(m: int) -> np.ndarray:
+    """Read-only :func:`_stable_orders` of the Lehmer keys ``0..m! - 1``,
+    asked for only with at least ``m!`` windows (at most m/8 of the series)."""
+    table = _stable_orders(np.arange(math.factorial(m)), m)
     table.flags.writeable = False
     return table
 
 
 def _key_codes(keys: np.ndarray, m: int) -> np.ndarray:
     """Codes of the tie-free patterns with the given Lehmer keys."""
+    return _code_weights(m) @ (_stable_orders(keys, m) + 1)
+
+
+def _stable_orders(keys: np.ndarray, m: int) -> np.ndarray:
+    """``m x len(keys)`` int8: row p holds the column at position p of the
+    stable sort of each Lehmer key's window."""
     digits = np.empty((m, len(keys)), dtype=np.int8)
     rest = keys.astype(np.int64)
     for j in range(m):
         digits[j], rest = np.divmod(rest, math.factorial(m - 1 - j))
     # Right-to-left insertion: sample j lands at rank digits_j among the
     # later samples, and each of them at or above that rank moves up one.
-    ranks = digits
     for j in range(m - 2, -1, -1):
-        ranks[j + 1 :] += ranks[j + 1 :] >= ranks[j]
-    return _placed_codes(range(1, m + 1), ranks, m)
-
-
-def _placed_codes(labels, ranks: np.ndarray, m: int) -> np.ndarray:
-    """Codes placing each row of ``labels`` at the digit of its ``ranks`` row."""
-    # "clip" only skips the bounds check, as ranks lie in 0..m-1; reusing
-    # ``term`` saves a fresh array per column, which costs more than a gather.
-    n = ranks.shape[1]
-    codes, term = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for label, rank in zip(labels, ranks):
-        np.take(_code_weights(m), rank, out=term, mode="clip")
-        term *= label
-        codes += term
-    return codes
+        digits[j + 1 :] += digits[j + 1 :] >= digits[j]
+    return digits.argsort(axis=0).astype(np.int8)  # the ranks, inverted
 
 
 def _code_weights(m: int) -> np.ndarray:
@@ -324,7 +338,7 @@ def extract_pattern(window, config: EmbeddingConfig) -> Pattern:
     x = checked_series(window)
     if len(x) != config.m:
         raise LengthMismatch(f"window has {len(x)} samples, config.m = {config.m}")
-    codes, _, _ = _histogram(x, replace(config, tau=1))
+    codes = _histogram(x, replace(config, tau=1))[0]
     return _decode(codes, config.m, config.scheme)[0]
 
 
@@ -342,8 +356,10 @@ def time_reverse_tie_free(pattern: Pattern) -> Pattern:
     """Pattern of the reversed window: elementwise complement ``m + 1 - label``.
 
     Only defined for tie-free patterns; for tied patterns the map is
-    ambiguous (different preimages reverse to different patterns) and the
-    dual-histogram route in :mod:`irrev.measures` must be used instead.
+    ambiguous (different preimages reverse to different patterns), and
+    :mod:`irrev.measures` takes the histogram of the reversed windows
+    instead: decoded from the forward window keys, or for ``tie_epsilon >
+    0`` encoded from the reversed series.
     """
     if not pattern.is_tie_free():
         raise TiedPatternUnsupported(

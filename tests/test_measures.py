@@ -353,56 +353,80 @@ def _logistic(n):
 
 
 _RNG = np.random.default_rng(23)
-# name: (series, m, scheme, tie_epsilon, delays, whether the histogram is
-# counted by Lehmer keys, which needs the stable-sort order to fix every
-# pattern and at least m! windows).
+# name: (series, m, scheme, tie_epsilon, delays).
 _PATH_CASES = {
     **{f"tie-free m={m}": (
         _tie_free(math.factorial(m) + 3 * (m - 1) if m <= 6 else 80, m), m,
-        "equal-value", 0.0, (1, 2, 3), m <= 6) for m in range(2, 16)},
-    "tie-free m=7, m! windows": (_logistic(5060), 7, "equal-value", 0.0,
-                                 (1,), True),
-    "one tied window": (_one_tied_window(40), 3, "equal-value", 0.0, (1,),
-                        False),
+        "equal-value", 0.0, (1, 2, 3)) for m in range(2, 16)},
+    "tie-free m=7, m! windows": (_logistic(5060), 7, "equal-value", 0.0, (1,)),
+    "one tied window": (_one_tied_window(40), 3, "equal-value", 0.0, (1,)),
     "one tied window, original": (_one_tied_window(40), 3, "original", 0.0,
-                                  (1,), True),
+                                  (1,)),
     "ties, original": (_RNG.integers(0, 4, 300).astype(float), 4, "original",
-                       0.0, (1, 2, 3), True),
+                       0.0, (1, 2, 3)),
     "signed zeros, original": (_RNG.choice([0.0, -0.0, 1.0, -1.0], 300), 3,
-                               "original", 0.0, (1, 2, 3), True),
+                               "original", 0.0, (1, 2, 3)),
     "signed zeros, equal-value": (_RNG.choice([0.0, -0.0, 1.0, -1.0], 300), 3,
-                                  "equal-value", 0.0, (1, 2, 3), False),
+                                  "equal-value", 0.0, (1, 2, 3)),
     "epsilon, no tie within it": (_tie_free(400, 7), 4, "equal-value", 1e-3,
-                                  (1, 2, 3), True),
+                                  (1, 2, 3)),
     "epsilon, ties within it": (_tie_free(400, 7), 4, "equal-value", 0.01,
-                                (1, 2, 3), False),
-    "epsilon, original": (_tie_free(400, 7), 4, "original", 0.01, (1, 2, 3),
-                          True),
+                                (1, 2, 3)),
+    "epsilon, original": (_tie_free(400, 7), 4, "original", 0.01, (1, 2, 3)),
 }
+
+
+def _derived(fwd, transform):
+    """Codes and counts of ``fwd``'s series under ``transform`` as a report
+    pairs them without encoding that series: decoded from the forward keys,
+    or the tie-free codes under the code-level map."""
+    if fwd._keys is not None:
+        return ordinal._key_histogram(*fwd._keys, fwd.config, fwd.n_windows,
+                                      transform)
+    assert fwd.n_tied_windows == 0
+    mapped = {"identity": lambda codes, m: codes,
+              "time-reverse": ordinal._complemented_codes,
+              "negate": ordinal._reversed_codes}[transform](fwd.codes,
+                                                            fwd.config.m)
+    order = np.argsort(mapped)
+    return mapped[order], fwd.code_counts[order]
+
+
+def _assert_derived_histograms(x, cfg):
+    fwd = build_histogram(x, cfg)
+    for transform in ("identity", "time-reverse", "negate"):
+        codes, counts = _derived(fwd, transform)
+        expected = (fwd if transform == "identity"
+                    else build_histogram(x, cfg, transform))
+        assert codes.tolist() == expected.codes.tolist(), transform
+        assert counts.tolist() == expected.code_counts.tolist(), transform
 
 
 class TestEncoderPaths:
     @pytest.fixture()
-    def keyed(self, monkeypatch):
-        """Calls for the key translation table, counted."""
+    def tables(self, monkeypatch):
+        """Names of the key tables asked for, in call order."""
         calls = []
-        real = ordinal._lehmer_table
+        for name in ("_lehmer_table", "_order_table"):
+            def counting(m, real=getattr(ordinal, name), name=name):
+                calls.append(name)
+                return real(m)
 
-        def counting(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(ordinal, "_lehmer_table", counting)
+            monkeypatch.setattr(ordinal, name, counting)
         return calls
 
     @pytest.mark.parametrize("case", _PATH_CASES)
-    def test_histograms_values_and_windows_agree_with_oracle(self, case, keyed):
-        x, m, scheme, eps, delays, by_key = _PATH_CASES[case]
+    def test_histograms_values_and_windows_agree_with_oracle(self, case, tables):
+        x, m, scheme, eps, delays = _PATH_CASES[case]
         for tau in delays:
             cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme, tie_epsilon=eps)
-            keyed.clear()
-            build_histogram(x, cfg)
-            assert bool(keyed) == by_key
+            tables.clear()
+            h = build_histogram(x, cfg)
+            # A table of all m! keys is used iff there are at least m!
+            # windows: pattern codes for tie-free data, stable orders else.
+            assert tables == ([] if h.n_windows < math.factorial(m) else
+                              ["_order_table" if h.n_tied_windows
+                               else "_lehmer_table"])
             _check_against_oracle(x, cfg)
             for i in range(min(40, len(x) - (m - 1) * tau)):
                 w = x[i : i + (m - 1) * tau + 1 : tau]
@@ -412,15 +436,62 @@ class TestEncoderPaths:
     @pytest.mark.parametrize("m, tau", [(8, 2), (8, 3), (9, 2), (9, 3)])
     @pytest.mark.parametrize("scheme", ["original", "equal-value"])
     @pytest.mark.parametrize("tie_epsilon", [0.0, 0.5, 1.0])
-    def test_gather_path_at_large_m(self, m, tau, scheme, tie_epsilon, keyed):
-        # Fewer than m! windows: every window's code is gathered, also
-        # under the original scheme, from ranks summed over the lags.
+    def test_digit_decode_at_large_m(self, m, tau, scheme, tie_epsilon, tables):
+        # Fewer than m! windows: the distinct keys are decoded from their
+        # Lehmer digits, also under the original scheme, with no table.
         x = np.random.default_rng(10 * m + tau).integers(0, 3, 90).astype(float)
         cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme,
                               tie_epsilon=tie_epsilon)
         build_histogram(x, cfg)
-        assert not keyed
+        assert not tables
         _check_against_oracle(x, cfg)
+
+    @pytest.mark.parametrize("tie_epsilon", [1e-3, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("scheme", ["original", "equal-value"])
+    def test_tie_epsilon_on_the_table_path(self, tie_epsilon, m, scheme):
+        # Chained tie groups whose columns do not ascend: an equal-value
+        # label is the group's lowest column, found by a running min.
+        x = np.round(np.random.default_rng(27).standard_normal(200), 1)
+        _check_against_oracle(x, EmbeddingConfig(
+            m=m, scheme=scheme, tie_epsilon=tie_epsilon))
+
+    @pytest.mark.parametrize("kind, scheme", [
+        ("TIR", "equal-value"), ("TIR", "original"), ("AIR", "original")])
+    @pytest.mark.parametrize("tie_epsilon", [0.0, 0.5])
+    def test_window_passes_of_a_tied_report(self, monkeypatch, kind, scheme,
+                                            tie_epsilon):
+        # For eps = 0 the forward keys fix the transformed windows too; for
+        # eps > 0 the transformed series is encoded as well.
+        encoded = []
+        real = measures._histogram
+
+        def recording(x, config):
+            encoded.append(x.copy())
+            return real(x, config)
+
+        monkeypatch.setattr(measures, "_histogram", recording)
+        x = np.round(np.random.default_rng(25).standard_normal(400), 1)
+        cfg = EmbeddingConfig(m=4, scheme=scheme, tie_epsilon=tie_epsilon)
+        value = measure(x, cfg, kind).value
+        transformed = x[::-1] if kind == "TIR" else -x
+        assert [e.tolist() for e in encoded] == (
+            [x.tolist()] if tie_epsilon == 0 else
+            [x.tolist(), transformed.tolist()])
+        assert value == measure_by_definition_oracle(x, cfg, kind)
+
+    @pytest.mark.parametrize("scheme", ["original", "equal-value"])
+    def test_keys_stay_inside_int64_at_m_15(self, scheme):
+        assert math.factorial(15) << 15 < 2**63
+        rng = np.random.default_rng(26)
+        falling = np.repeat(np.arange(12.0, 0.0, -1.0), 2)  # top Lehmer keys
+        for x in (falling, -falling, np.round(rng.standard_normal(60))):
+            cfg = EmbeddingConfig(m=15, scheme=scheme)
+            keys = build_histogram(x, cfg)._keys[0]
+            assert keys.dtype == np.int64 and keys.min() >= 0
+            assert (keys >> 15).max() < math.factorial(15)
+            _check_against_oracle(x, cfg)
+            _assert_derived_histograms(x, cfg)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_lehmer_table_translates_every_key(self, m):
@@ -470,6 +541,36 @@ class TestEncoderPaths:
             labels = _ordinal_labels(window, "original", 0.0)
             expected.append(ordinal._pattern_code(labels, m, labels))
         assert ordinal._key_codes(keys, m).tolist() == expected
+
+
+_TRANSFORM_DATA = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "0..2": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "0..1": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "rounded": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "signed zeros": lambda rng, n: (rng.integers(-2, 3, n)
+                                    * rng.choice([1.0, -1.0], n)),
+}
+
+
+class TestTransformsFromForwardKeys:
+    @pytest.mark.parametrize("data", _TRANSFORM_DATA)
+    @pytest.mark.parametrize("scheme", ["original", "equal-value"])
+    def test_equal_the_histograms_of_the_transformed_series(self, data, scheme):
+        rng = np.random.default_rng(len(data))
+        for n in (1, 5, 20, 100, 1000, 6000):
+            x = _TRANSFORM_DATA[data](rng, n + 20)
+            for m, tau in itertools.product(range(2, 10), (1, 2, 3)):
+                if len(x) <= (m - 1) * tau:
+                    continue
+                cfg = EmbeddingConfig(m=m, tau=tau, scheme=scheme)
+                _assert_derived_histograms(x, cfg)
+                if n <= 20:
+                    assert {p.labels: c for p, c in
+                            build_histogram(x, cfg).counts.items()} == Counter(
+                        _ordinal_labels(list(x[i : i + (m - 1) * tau + 1 : tau]),
+                                        scheme, 0.0)
+                        for i in range(len(x) - (m - 1) * tau))
 
 
 @st.composite
@@ -876,8 +977,9 @@ class TestForwardHistogramOnce:
         monkeypatch.setattr(measures, "build_histogram", recording)
         x = [float(v) for v in np.round(np.random.default_rng(24)
                                         .standard_normal(300))]
-        measure(x, EmbeddingConfig(m=4), "TIR")
-        sweep(x, [3], [1], kinds=["TIR"])
+        # tie_epsilon > 0, so that the time-reversed series is encoded too.
+        measure(x, EmbeddingConfig(m=4, tie_epsilon=0.5), "TIR")
+        sweep(x, [3], [1], kinds=["TIR"], tie_epsilon=0.5)
         assert len(given) == 4
         assert all(isinstance(s, np.ndarray) for s in given)
         assert given[0] is given[1] and given[2] is given[3]
@@ -888,9 +990,9 @@ class TestForwardHistogramOnce:
         ("AIR", "equal-value", False, ["identity"]),
         ("AIR", "original", False, ["identity"]),
         ("AIR", "equal-value", True, ["identity"]),
-        ("TIR", "equal-value", True, ["identity", "time-reverse"]),
-        ("TIR", "original", True, ["identity", "time-reverse"]),
-        ("AIR", "original", True, ["identity", "negate"]),
+        ("TIR", "equal-value", True, ["identity"]),
+        ("TIR", "original", True, ["identity"]),
+        ("AIR", "original", True, ["identity"]),
     ])
     def test_measure(self, transforms, kind, scheme, tied, expected):
         x = np.random.default_rng(14).standard_normal(300)
