@@ -22,8 +22,9 @@ map pi -> pi* (digit reversal for AIR, digit complement for TIR) and the
 value is a sum over unordered pairs {pi, pi*}. Tied TIR, and tied AIR under
 the original scheme, take G from the transformed windows, decoded from H's
 window keys (for ``tie_epsilon > 0``, encoded from the reversed series or
-``-x``), and pair each bin with itself. H and G are aligned on the union of
-their codes, and the pair columns are computed on arrays.
+``-x``), and pair each bin with itself. One sort of both code columns
+gives the support, H and G on it, and each code's partner; the pair columns
+are computed on arrays.
 
 Histograms and the pairs of every report, hand-built ones too, stay
 integer-code columns (a :class:`PairTable`, with float64 values).
@@ -51,7 +52,7 @@ from .errors import (DomainError, InvalidParams, InvalidPattern,
 from .ordinal import (SCHEME_EQUAL_VALUE, TRANSFORM_IDENTITY, TRANSFORM_NEGATE,
                       TRANSFORM_TIME_REVERSE, EmbeddingConfig, Pattern,
                       _complemented_codes, _decode, _histogram, _key_histogram,
-                      _pattern_code, _reversed_codes, _run_starts)
+                      _pattern_code, _reversed_codes, _summed)
 
 _TRANSFORMS = (TRANSFORM_IDENTITY, TRANSFORM_TIME_REVERSE, TRANSFORM_NEGATE)
 
@@ -351,23 +352,6 @@ def _counterpart_codes(kind: str, scheme: str, data_tie_free: bool):
     return None
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted distinct codes of two code arrays.
-
-    Sort-based: ``np.union1d`` takes numpy's hash-table path, which is many
-    times slower on these arrays and grows the resident memory on first use.
-    """
-    codes = np.sort(np.concatenate((a, b)))
-    return codes[_run_starts(codes)]
-
-
-def _counts_at(codes: np.ndarray, known: np.ndarray,
-               counts: np.ndarray) -> np.ndarray:
-    """Counts of the sorted codes ``known`` at each code, 0 where absent."""
-    at = np.minimum(np.searchsorted(known, codes), len(known) - 1)
-    return np.where(known[at] == codes, counts[at], 0)
-
-
 def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     """1/2 sum of Ys(h/n, g/n) in rational arithmetic, rounded once.
 
@@ -381,11 +365,9 @@ def _exact_value(h: np.ndarray, g: np.ndarray, n: int) -> float:
     ci, cj = np.maximum(h, g), np.minimum(h, g)
     ci, cj = (ci, cj) if n < 2**30 else (ci.astype(object), cj.astype(object))
     d = ci + cj
-    order = np.argsort(d)
-    d, num = d[order], (ci * (ci - cj))[order]
-    starts = _run_starts(d)
+    first, num = _summed(d, ci * (ci - cj))
     numerator, denominator = 0, 1
-    for s, q in zip(np.add.reduceat(num, starts).tolist(), d[starts].tolist()):
+    for s, q in zip(num.tolist(), d[first].tolist()):
         numerator, denominator = numerator * q + s * denominator, denominator * q
     return numerator / (denominator * 2 * n)
 
@@ -396,31 +378,31 @@ def _report(x: np.ndarray, fwd: PatternHistogram,
     config, n, m = fwd.config, fwd.n_windows, fwd.config.m
     counterpart_of = _counterpart_codes(kind, config.scheme,
                                         fwd.n_tied_windows == 0)
-    # H and G on the union of their codes, and each code's partner.
-    if counterpart_of is None:
-        transform = (TRANSFORM_TIME_REVERSE if kind == KIND_TIR
-                     else TRANSFORM_NEGATE)
-        if fwd._keys:  # the forward keys fix the transformed windows too
-            g_codes, g_counts = _key_histogram(*fwd._keys, config, n, transform)
-        else:  # tie_epsilon > 0: encode the transformed series
-            bwd = build_histogram(x, config, transform)
-            g_codes, g_counts = bwd.codes, bwd.code_counts
-        support = _union(fwd.codes, g_codes)
-        h = _counts_at(support, fwd.codes, fwd.code_counts)
-        g = _counts_at(support, g_codes, g_counts)
-    else:  # support is closed under the involution: partner permutes it
-        support = _union(fwd.codes, counterpart_of(fwd.codes, m))
-        partner = counterpart_of(support, m)
-        h = _counts_at(support, fwd.codes, fwd.code_counts)
-        g = np.empty_like(h)
-        g[np.argsort(partner)] = h
+    transform = TRANSFORM_TIME_REVERSE if kind == KIND_TIR else TRANSFORM_NEGATE
+    if counterpart_of is not None:  # G is H under the code map
+        g_codes, g_counts = counterpart_of(fwd.codes, m), fwd.code_counts
+    elif fwd._keys:  # the forward keys fix the transformed windows too
+        g_codes, g_counts = _key_histogram(*fwd._keys, config, n, transform)
+    else:  # tie_epsilon > 0: encode the transformed series
+        bwd = build_histogram(x, config, transform)
+        g_codes, g_counts = bwd.codes, bwd.code_counts
+    # One sort of both code columns gives the support, H and G on it, and
+    # each code's partner: the map is an involution, so all entries of one
+    # code have the same partner.
+    codes = np.concatenate((fwd.codes, g_codes))
+    first, h, g = _summed(
+        codes, np.concatenate((fwd.code_counts, np.zeros_like(g_counts))),
+        np.concatenate((np.zeros_like(fwd.code_counts), g_counts)))
+    support = codes[first]
+    partner = (support if counterpart_of is None
+               else np.concatenate((g_codes, fwd.codes))[first])
 
     pf, pc = h / n, g / n
     ys = ys_divergence(pf, pc)
     if counterpart_of is None:
         # No exact pattern-level map: each bin is paired with the same bin
         # of the transformed histogram and carries half its term.
-        emit, partner, ys = slice(None), support, ys / 2
+        emit, ys = slice(None), ys / 2
     else:
         # Each unordered pair {p, p*} is reported once, at its smaller code.
         emit = np.flatnonzero(support <= partner)

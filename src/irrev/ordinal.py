@@ -41,6 +41,12 @@ negation reverses the group order, p to (m - 1 - e) + (p - s).
 :func:`_order_table` or, with fewer than ``m!`` windows, by the Lehmer
 digits; an equal-value label is 1 + the lowest column of its group.
 
+Every other sum over equal values goes through :func:`_summed`: one argsort,
+the run starts of the sorted values, and one ``np.add.reduceat`` per weight
+column. It counts the decoded codes, merges the original scheme's keys that
+differ only in tie bits, and in :mod:`irrev.measures` aligns H and G and
+sums the value's numerators per denominator.
+
 Two symmetry transforms act on patterns and on codes: amplitude reversal
 (the negated window; labels or digits reversed) and time reversal (the
 reversed window; complement ``m + 1 - label``, only for tie-free patterns).
@@ -187,8 +193,8 @@ def _histogram(x: np.ndarray, config: EmbeddingConfig):
         return (*_key_histogram(keys, counts, config, n), tied,
                 (keys, counts) if eps == 0 else None)
     codes = _lehmer_table(m)[keys]
-    order = np.argsort(codes)
-    return codes[order], counts[order], tied, None
+    first, counts = _summed(codes, counts)
+    return codes[first], counts, tied, None
 
 
 def _key_histogram(keys: np.ndarray, key_counts: np.ndarray,
@@ -200,8 +206,8 @@ def _key_histogram(keys: np.ndarray, key_counts: np.ndarray,
     original = config.scheme == SCHEME_ORIGINAL
     if original and transform == TRANSFORM_IDENTITY:  # tie bits play no part
         keys = keys >> m << m
-        starts = _run_starts(keys)
-        keys, key_counts = keys[starts], np.add.reduceat(key_counts, starts)
+        at, key_counts = _summed(keys, key_counts)
+        keys = keys[at]
     lehmer = (keys >> m).astype(np.intp)
     bits = (keys & ((1 << m) - 1)).astype(np.int16)
     orders = (_order_table(m).take(lehmer, axis=1)
@@ -232,15 +238,21 @@ def _key_histogram(keys: np.ndarray, key_counts: np.ndarray,
                   for p, s, e in zip(places, first, spread_back(places))]
     codes = sum(_code_weights(m).take(place) * (column + 1)
                 for column, place in zip(columns, places))
-    order = np.argsort(codes)
-    codes, key_counts = codes[order], key_counts[order]
-    starts = _run_starts(codes)
-    return codes[starts], np.add.reduceat(key_counts, starts)
+    at, counts = _summed(codes, key_counts)
+    return codes[at], counts
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Indices where the runs of equal neighbours of ``values`` start."""
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def _summed(values: np.ndarray, *weights: np.ndarray) -> tuple:
+    """``(first, *sums)``: an index of each distinct value, in ascending
+    value order, and each weight column summed over that value's entries."""
+    order = np.argsort(values)
+    starts = _run_starts(values[order])
+    return (order[starts], *(np.add.reduceat(w[order], starts) for w in weights))
 
 
 def _lag_sums(le: list):

@@ -117,6 +117,36 @@ class TestAnalyze:
         assert code == 0
         assert stdout == "TIR 3 1 0\nAIR 3 1 0\n"
 
+    @pytest.mark.parametrize("scheme", ["equal-value", "original"])
+    def test_both_measures_share_one_histogram(self, capsys, tmp_path,
+                                               monkeypatch, scheme):
+        path = tmp_path / "tied.txt"
+        write_series(np.round(np.random.default_rng(29).standard_normal(2000),
+                              1), str(path))
+        argv = ["analyze", "--input", str(path), "--m", "4", "--scheme", scheme]
+        built = []
+        real = measures.build_histogram
+
+        def counting(series, config, transform="identity"):
+            built.append(transform)
+            return real(series, config, transform)
+
+        monkeypatch.setattr(measures, "build_histogram", counting)
+        _, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "one.json"))
+        assert built == ["identity"]
+        monkeypatch.undo()
+
+        def per_kind(series, ms, taus, scheme_, kinds, tie_epsilon):
+            config = EmbeddingConfig(m=ms[0], tau=taus[0], scheme=scheme_,
+                                     tie_epsilon=tie_epsilon)
+            return [measure(series, config, kind) for kind in kinds]
+
+        monkeypatch.setattr("irrev.cli.sweep", per_kind)
+        _, expected, _ = run(capsys, *argv, "--out", str(tmp_path / "two.json"))
+        assert stdout == expected
+        assert ((tmp_path / "one.json").read_bytes()
+                == (tmp_path / "two.json").read_bytes())
+
     def test_too_short_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1\n2\n3\n4\n")

@@ -1008,6 +1008,35 @@ class TestForwardHistogramOnce:
         assert transforms == ["identity"] * (3 * 2)
 
 
+class TestCodeMapOnce:
+    @pytest.mark.parametrize("kind, scheme, tied, name", [
+        ("TIR", "equal-value", False, "_complemented_codes"),
+        ("TIR", "original", False, "_complemented_codes"),
+        ("AIR", "equal-value", False, "_reversed_codes"),
+        ("AIR", "original", False, "_reversed_codes"),
+        ("AIR", "equal-value", True, "_reversed_codes"),
+    ])
+    def test_report_maps_its_codes_once(self, monkeypatch, kind, scheme, tied,
+                                        name):
+        # G and each code's partner come from one map of H's codes; no
+        # transformed histogram is decoded. The forward pass calls
+        # ordinal._key_histogram under its own module's name.
+        calls = Counter()
+        for attr in ("_reversed_codes", "_complemented_codes", "_key_histogram"):
+            def counting(*args, real=getattr(measures, attr), attr=attr):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(measures, attr, counting)
+        x = np.random.default_rng(28).standard_normal(3000)
+        if tied:
+            x = np.round(x, 1)
+        cfg = EmbeddingConfig(m=5, scheme=scheme)
+        report = measure(x, cfg, kind)
+        assert calls == {name: 1}
+        assert report == reference_measure(x, cfg, kind)
+
+
 class TestSweep:
     def test_cardinality_and_order(self):
         rng = np.random.default_rng(12)
